@@ -585,6 +585,32 @@ BM_LockAcquireRelease(benchmark::State &state)
 }
 BENCHMARK(BM_LockAcquireRelease);
 
+// One lockPage/unlockPage pair per iteration, each on a page never
+// locked before: the DebitCredit cluster's access pattern. A lock
+// table that kept idle entries would grow by one per iteration.
+void
+BM_LockPageCycle(benchmark::State &state)
+{
+    sim::Simulation s;
+    db::HierarchicalLockManager locks(s, 8);
+    // The benchmark loop runs inside one task, so every iteration is
+    // a bare co_await of an uncontended lockPage (which completes
+    // without suspending) plus its unlockPage.
+    kernel::runTask(s, [](benchmark::State &st,
+                          db::HierarchicalLockManager &lk)
+                           -> sim::Task<> {
+        std::uint64_t page = 0;
+        for (auto _ : st) {
+            int rel = static_cast<int>(page & 7);
+            co_await lk.lockPage(rel, page, db::LockMode::X);
+            lk.unlockPage(rel, page, db::LockMode::X);
+            ++page;
+        }
+    }(state, locks));
+    benchmark::DoNotOptimize(locks.pageLocks());
+}
+BENCHMARK(BM_LockPageCycle);
+
 void
 BM_Xoshiro(benchmark::State &state)
 {

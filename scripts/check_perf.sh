@@ -11,17 +11,26 @@
 # Set CHECK_PERF_SKIP_BUILD=1 to reuse an already-built relbench tree
 # (scripts/run_all_benches.sh --perf does this after its own build).
 #
+# Same-host only: the baseline's google-benchmark context (CPU count,
+# MHz per CPU and library_build_type) must match the fresh run's.
+# Timings from another host measure the host, not the code, so on a
+# mismatch the gate refuses to compare and exits 2; re-record the
+# baseline on this host or run an interleaved A/B against the parent
+# commit built here.
+#
 # Exit status: 0 if every benchmark is within tolerance of the
 # baseline (new benchmarks absent from the baseline are reported but
-# do not fail), 1 otherwise. A fixed set of required benchmarks —
+# do not fail), 1 on a regression, 2 when the baseline was recorded on
+# a different host. A fixed set of required benchmarks —
 # the COW frame-store hot paths (BM_CopyFrame, BM_ZeroFill,
 # BM_PageInOut), the fault path (BM_FullFaultPath, BM_FaultBatch,
 # BM_FaultRedeliver), the resolve path (BM_ResolveThroughBindings,
 # BM_ResolveHashedHit, BM_PerCpuResolveHit), the sharded engine
 # (BM_ShardedStep, BM_CrossShardEvent), the batched memory market
 # (BM_MarketRound), the shared-kernel fault path
-# (BM_SharedKernelFault) and the replacement-policy hooks
-# (BM_PolicyTouch, BM_PolicyVictim) — must be present in the fresh
+# (BM_SharedKernelFault), the replacement-policy hooks
+# (BM_PolicyTouch, BM_PolicyVictim) and the DB page-lock table
+# (BM_LockPageCycle) — must be present in the fresh
 # run; their absence fails the gate even if everything that did run
 # was fast enough. The policy hooks additionally carry a pair gate:
 # BM_PolicyTouch (virtual dispatch through the ReplacementPolicy
@@ -63,9 +72,11 @@ import json, sys
 
 base_path, new_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
-def times(path):
+def load(path):
     with open(path) as f:
-        data = json.load(f)
+        return json.load(f)
+
+def times(data):
     out = {}
     for b in data.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev) if repetitions used.
@@ -74,7 +85,26 @@ def times(path):
         out[b["name"]] = (b["cpu_time"], b["time_unit"])
     return out
 
-base, new = times(base_path), times(new_path)
+base_data, new_data = load(base_path), load(new_path)
+
+# Refuse cross-host comparisons before looking at any timing.
+host_keys = ["num_cpus", "mhz_per_cpu", "library_build_type"]
+host = {p: [d.get("context", {}).get(k) for k in host_keys]
+        for p, d in (("baseline", base_data), ("fresh", new_data))}
+if host["baseline"] != host["fresh"]:
+    for k, b, n in zip(host_keys, host["baseline"], host["fresh"]):
+        mark = "" if b == n else "   <-- differs"
+        print(f"  {k:<20} baseline {b!s:<10} fresh {n!s:<10}{mark}")
+    print("\nHOST MISMATCH: BENCH_host.json was recorded on a different "
+          "host, so its timings cannot gate this one.\n"
+          "Re-record it here:\n"
+          "  build-relbench/bench/microbench_host --json=BENCH_host.json "
+          "--benchmark_min_time=0.2\n"
+          "or run an interleaved A/B against the parent commit built "
+          "on this host.")
+    sys.exit(2)
+
+base, new = times(base_data), times(new_data)
 failed = []
 missing = []
 
@@ -86,7 +116,7 @@ required = ["BM_CopyFrame", "BM_ZeroFill", "BM_PageInOut",
             "BM_PerCpuResolveHit",
             "BM_ShardedStep", "BM_CrossShardEvent",
             "BM_MarketRound", "BM_SharedKernelFault",
-            "BM_PolicyTouch", "BM_PolicyVictim"]
+            "BM_PolicyTouch", "BM_PolicyVictim", "BM_LockPageCycle"]
 for name in required:
     if not any(n == name or n.startswith(name + "/") for n in new):
         missing.append(name)

@@ -204,6 +204,7 @@ runClusterStudy(const ClusterParams &params)
         remote.merge(n->remoteResp);
         busy += n->cpus.busyTime();
         lockWait += n->locks.totalRelationWaitTime();
+        r.pageLocksLeft += n->locks.pageLocks();
     }
     r.avgMs = all.mean();
     r.p99Ms = all.percentile(0.99);

@@ -63,6 +63,9 @@ struct ClusterResult
     double lockWaitSec = 0;
     std::uint64_t epochs = 0;      ///< deterministic window count
     std::uint64_t crossEvents = 0; ///< deterministic mailbox traffic
+    /// Page-lock entries still live after the drain; 0 unless the
+    /// lock table leaks.
+    std::uint64_t pageLocksLeft = 0;
 };
 
 ClusterResult runClusterStudy(const ClusterParams &params = {});

@@ -1,5 +1,7 @@
 #include "db/lock.h"
 
+#include <string>
+
 namespace vpp::db {
 
 const char *
@@ -42,7 +44,7 @@ MultiModeLock::compatibleWithHolders(LockMode m) const
 bool
 MultiModeLock::tryAcquire(LockMode m)
 {
-    if (queue_.empty() && compatibleWithHolders(m)) {
+    if (!head_ && compatibleWithHolders(m)) {
         ++held_[static_cast<int>(m)];
         return true;
     }
@@ -55,15 +57,22 @@ MultiModeLock::acquire(LockMode m)
     if (tryAcquire(m))
         co_return;
     ++waits_;
-    queue_.push_back(Waiter{m, sim::Promise<>(*sim_), sim_->now()});
-    auto fut = queue_.back().wake.future();
-    co_await fut;
+    Waiter w{m, sim_->now()};
+    (tail_ ? tail_->next : head_) = &w;
+    tail_ = &w;
+    ++waiting_;
+    co_await w;
 }
 
 void
 MultiModeLock::release(LockMode m)
 {
-    --held_[static_cast<int>(m)];
+    int &held = held_[static_cast<int>(m)];
+    if (held <= 0) {
+        throw sim::SimPanic(std::string("release of an unheld ") +
+                            lockModeName(m) + " lock");
+    }
+    --held;
     drainQueue();
 }
 
@@ -72,13 +81,15 @@ MultiModeLock::drainQueue()
 {
     // Grant from the front while the next waiter is compatible; stop
     // at the first incompatible one (FIFO fairness).
-    while (!queue_.empty() &&
-           compatibleWithHolders(queue_.front().mode)) {
-        Waiter w = std::move(queue_.front());
-        queue_.pop_front();
-        ++held_[static_cast<int>(w.mode)];
-        waitTime_ += sim_->now() - w.since;
-        w.wake.setValue();
+    while (head_ && compatibleWithHolders(head_->mode)) {
+        Waiter *w = head_;
+        head_ = w->next;
+        if (!head_)
+            tail_ = nullptr;
+        --waiting_;
+        ++held_[static_cast<int>(w->mode)];
+        waitTime_ += sim_->now() - w->since;
+        sim_->scheduleResume(sim_->now(), w->handle);
     }
 }
 
@@ -107,10 +118,8 @@ sim::Task<>
 HierarchicalLockManager::lockPage(int rel, std::uint64_t page,
                                   LockMode m)
 {
-    auto &slot = pages_[{rel, page}];
-    if (!slot)
-        slot = std::make_unique<MultiModeLock>(*sim_);
-    co_await slot->acquire(m);
+    auto &lock = pages_.try_emplace({rel, page}, *sim_).first->second;
+    co_await lock.acquire(m);
 }
 
 void
@@ -118,8 +127,14 @@ HierarchicalLockManager::unlockPage(int rel, std::uint64_t page,
                                     LockMode m)
 {
     auto it = pages_.find({rel, page});
-    if (it != pages_.end())
-        it->second->release(m);
+    if (it == pages_.end() || it->second.holders(m) == 0) {
+        throw sim::SimPanic("unlockPage(rel " + std::to_string(rel) +
+                            ", page " + std::to_string(page) + ", " +
+                            lockModeName(m) + "): not held");
+    }
+    it->second.release(m);
+    if (it->second.idle())
+        pages_.erase(it);
 }
 
 } // namespace vpp::db

@@ -13,13 +13,14 @@
 #ifndef VPP_DB_LOCK_H
 #define VPP_DB_LOCK_H
 
+#include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
-#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace vpp::db {
@@ -37,13 +38,26 @@ const char *lockModeName(LockMode m);
 /** Multi-granularity compatibility matrix. */
 bool lockCompatible(LockMode a, LockMode b);
 
-/** One lockable object supporting the four modes with FIFO grants. */
+/**
+ * One lockable object supporting the four modes with FIFO grants.
+ *
+ * Constructing one allocates nothing: the wait queue is an intrusive
+ * list whose nodes live in the frames of the parked acquire()
+ * coroutines. Nodes never point back at the lock, so the lock and
+ * the parked frames may be destroyed in either order; the lock must
+ * not be used again after its Simulation has destroyed those frames.
+ */
 class MultiModeLock
 {
   public:
     explicit MultiModeLock(sim::Simulation &s) : sim_(&s) {}
 
+    MultiModeLock(const MultiModeLock &) = delete;
+    MultiModeLock &operator=(const MultiModeLock &) = delete;
+
     sim::Task<> acquire(LockMode m);
+
+    /** Release one hold of @p m; SimPanic if none is held. */
     void release(LockMode m);
 
     bool tryAcquire(LockMode m);
@@ -53,26 +67,42 @@ class MultiModeLock
         return held_[static_cast<int>(m)];
     }
 
-    int waiting() const { return static_cast<int>(queue_.size()); }
+    int waiting() const { return waiting_; }
+
+    /** No holders and no waiters. */
+    bool
+    idle() const
+    {
+        return !head_ && !held_[0] && !held_[1] && !held_[2] &&
+               !held_[3];
+    }
 
     /** Aggregate time spent blocked on this lock. */
     sim::Duration waitTime() const { return waitTime_; }
     std::uint64_t waits() const { return waits_; }
 
   private:
-    bool compatibleWithHolders(LockMode m) const;
-    void drainQueue();
-
+    /** A parked acquire(); lives in that coroutine's frame. */
     struct Waiter
     {
         LockMode mode;
-        sim::Promise<> wake;
         sim::SimTime since;
+        Waiter *next = nullptr;
+        std::coroutine_handle<> handle = nullptr;
+
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(std::coroutine_handle<> h) noexcept { handle = h; }
+        void await_resume() const noexcept {}
     };
+
+    bool compatibleWithHolders(LockMode m) const;
+    void drainQueue();
 
     sim::Simulation *sim_;
     int held_[4] = {0, 0, 0, 0};
-    std::deque<Waiter> queue_;
+    Waiter *head_ = nullptr;
+    Waiter *tail_ = nullptr;
+    int waiting_ = 0;
     sim::Duration waitTime_ = 0;
     std::uint64_t waits_ = 0;
 };
@@ -82,6 +112,11 @@ class MultiModeLock
  * pages under them. Callers must follow the protocol: an intention
  * mode on the relation before any page lock, and acquire relations in
  * ascending id order (deadlock avoidance).
+ *
+ * The page table holds only live locks: an entry exists iff the page
+ * lock is held or waited on. unlockPage erases the entry the moment
+ * it goes idle, so per-page wait time is not kept (only relation
+ * wait time is reported).
  */
 class HierarchicalLockManager
 {
@@ -92,9 +127,14 @@ class HierarchicalLockManager
     void unlockRelation(int rel, LockMode m);
 
     sim::Task<> lockPage(int rel, std::uint64_t page, LockMode m);
+
+    /** Release one hold; SimPanic if (rel, page) holds no @p m. */
     void unlockPage(int rel, std::uint64_t page, LockMode m);
 
     MultiModeLock &relation(int rel) { return *relations_.at(rel); }
+
+    /** Live page-lock entries (held or waited on). */
+    std::size_t pageLocks() const { return pages_.size(); }
 
     sim::Duration
     totalRelationWaitTime() const
@@ -106,11 +146,28 @@ class HierarchicalLockManager
     }
 
   private:
+    using PageKey = std::pair<int, std::uint64_t>;
+
+    struct PageKeyHash
+    {
+        std::size_t
+        operator()(const PageKey &k) const noexcept
+        {
+            // splitmix64 finaliser over both fields; equality still
+            // compares the full pair, so distinct keys never merge.
+            std::uint64_t x =
+                k.second ^ (std::uint64_t{static_cast<std::uint32_t>(
+                                k.first)} *
+                            0x9e3779b97f4a7c15ull);
+            x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+            x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+            return static_cast<std::size_t>(x ^ (x >> 31));
+        }
+    };
+
     sim::Simulation *sim_;
     std::vector<std::unique_ptr<MultiModeLock>> relations_;
-    std::map<std::pair<int, std::uint64_t>,
-             std::unique_ptr<MultiModeLock>>
-        pages_;
+    std::unordered_map<PageKey, MultiModeLock, PageKeyHash> pages_;
 };
 
 } // namespace vpp::db

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/kernel.h" // runTask
+#include "db/cluster.h"
 #include "db/lock.h"
 #include "db/study.h"
 
@@ -222,6 +225,212 @@ TEST(MultiModeLock, WaitTimeAccounting)
     s.run();
     EXPECT_EQ(l.waits(), 1u);
     EXPECT_EQ(l.waitTime(), msec(15));
+}
+
+// ----------------------------------------------------------------------
+// Page-lock table: holds only live locks
+// ----------------------------------------------------------------------
+
+/** Run @p fn's panic and return its message ("" if none was thrown). */
+template <typename F>
+std::string
+panicMessage(F &&fn)
+{
+    try {
+        fn();
+    } catch (const sim::SimPanic &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(PageLockTable, DrainsAfterDistinctPageCycles)
+{
+    sim::Simulation s;
+    HierarchicalLockManager locks(s, 4);
+    for (std::uint64_t page = 0; page < 10000; ++page) {
+        int rel = static_cast<int>(page % 4);
+        runTask(s, locks.lockPage(rel, page, LockMode::X));
+        ASSERT_EQ(locks.pageLocks(), 1u);
+        locks.unlockPage(rel, page, LockMode::X);
+        ASSERT_EQ(locks.pageLocks(), 0u);
+    }
+}
+
+TEST(PageLockTable, SharedHoldersKeepEntryUntilLastLeaves)
+{
+    sim::Simulation s;
+    HierarchicalLockManager locks(s, 1);
+    runTask(s, locks.lockPage(0, 5, LockMode::S));
+    runTask(s, locks.lockPage(0, 5, LockMode::S));
+    EXPECT_EQ(locks.pageLocks(), 1u);
+    locks.unlockPage(0, 5, LockMode::S);
+    EXPECT_EQ(locks.pageLocks(), 1u);
+    locks.unlockPage(0, 5, LockMode::S);
+    EXPECT_EQ(locks.pageLocks(), 0u);
+}
+
+TEST(PageLockTable, EmptyAfterClusterStudy)
+{
+    // The leak regression: every transaction has released its page
+    // locks once the cluster drains, so no entry may survive.
+    ClusterParams p;
+    p.nodes = 4;
+    p.cpusPerNode = 2;
+    p.tps = 2000;
+    p.durationSec = 0.5;
+    p.workers = 1;
+    ClusterResult r = runClusterStudy(p);
+    EXPECT_GT(r.txns, 0u);
+    EXPECT_GT(r.remoteTxns, 0u);
+    EXPECT_EQ(r.pageLocksLeft, 0u);
+}
+
+TEST(PageLockTable, QueuedWaiterKeepsEntry)
+{
+    sim::Simulation s;
+    HierarchicalLockManager locks(s, 1);
+    std::size_t afterHandOff = 0;
+
+    s.spawn([](sim::Simulation &sim,
+               HierarchicalLockManager &lk) -> sim::Task<> {
+        co_await lk.lockPage(0, 3, LockMode::X);
+        co_await sim.delay(msec(10));
+        lk.unlockPage(0, 3, LockMode::X);
+    }(s, locks));
+    s.spawn([](sim::Simulation &sim, HierarchicalLockManager &lk,
+               std::size_t &live) -> sim::Task<> {
+        co_await sim.delay(msec(1));
+        co_await lk.lockPage(0, 3, LockMode::X);
+        // The holder's release handed the lock over; the entry was
+        // kept for this waiter rather than erased and recreated.
+        live = lk.pageLocks();
+        lk.unlockPage(0, 3, LockMode::X);
+    }(s, locks, afterHandOff));
+    s.run();
+    EXPECT_EQ(afterHandOff, 1u);
+    EXPECT_EQ(locks.pageLocks(), 0u);
+}
+
+TEST(PageLockTable, FifoOrderSurvivesEraseAndRecreate)
+{
+    sim::Simulation s;
+    HierarchicalLockManager locks(s, 2);
+    std::vector<int> order;
+
+    auto txn = [](sim::Simulation &sim, HierarchicalLockManager &lk,
+                  std::vector<int> &ord, sim::Duration at, LockMode m,
+                  int id) -> sim::Task<> {
+        co_await sim.delay(at);
+        co_await lk.lockPage(1, 42, m);
+        ord.push_back(id);
+        co_await sim.delay(msec(10));
+        lk.unlockPage(1, 42, m);
+    };
+    // Two rounds on the same page, separated by an idle gap that
+    // erases its entry. In each, a writer holds the page while a
+    // reader, a writer and a second reader queue behind it; the
+    // second reader must not jump the queued writer.
+    for (int round = 0; round < 2; ++round) {
+        sim::Duration base = msec(100) * round;
+        int id = 10 * round;
+        s.spawn(txn(s, locks, order, base, LockMode::X, id + 1));
+        s.spawn(txn(s, locks, order, base + msec(1), LockMode::S,
+                    id + 2));
+        s.spawn(txn(s, locks, order, base + msec(2), LockMode::X,
+                    id + 3));
+        s.spawn(txn(s, locks, order, base + msec(3), LockMode::S,
+                    id + 4));
+    }
+    s.runUntil(msec(99));
+    EXPECT_EQ(locks.pageLocks(), 0u);
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 11, 12, 13, 14}));
+    EXPECT_EQ(locks.pageLocks(), 0u);
+}
+
+TEST(PageLockTable, DoubleUnlockPanics)
+{
+    sim::Simulation s;
+    HierarchicalLockManager locks(s, 4);
+    runTask(s, locks.lockPage(2, 7, LockMode::X));
+    locks.unlockPage(2, 7, LockMode::X);
+    std::string msg =
+        panicMessage([&] { locks.unlockPage(2, 7, LockMode::X); });
+    EXPECT_NE(msg.find("rel 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("page 7"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("X"), std::string::npos) << msg;
+}
+
+TEST(PageLockTable, StrayUnlockPanics)
+{
+    sim::Simulation s;
+    HierarchicalLockManager locks(s, 4);
+    // Never locked at all.
+    EXPECT_THROW(locks.unlockPage(1, 99, LockMode::S), sim::SimPanic);
+    // Locked, but in another mode: the S hold must survive.
+    runTask(s, locks.lockPage(1, 99, LockMode::S));
+    std::string msg =
+        panicMessage([&] { locks.unlockPage(1, 99, LockMode::X); });
+    EXPECT_NE(msg.find("rel 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("page 99"), std::string::npos) << msg;
+    EXPECT_EQ(locks.pageLocks(), 1u);
+    locks.unlockPage(1, 99, LockMode::S);
+    EXPECT_EQ(locks.pageLocks(), 0u);
+}
+
+TEST(MultiModeLock, ReleaseOfUnheldModePanics)
+{
+    sim::Simulation s;
+    MultiModeLock l(s);
+    ASSERT_TRUE(l.tryAcquire(LockMode::IS));
+    std::string msg = panicMessage([&] { l.release(LockMode::IX); });
+    EXPECT_NE(msg.find("IX"), std::string::npos) << msg;
+    // The count never went negative: IX is still grantable next to
+    // the IS hold, and X still is not.
+    EXPECT_EQ(l.holders(LockMode::IX), 0);
+    EXPECT_TRUE(l.tryAcquire(LockMode::IX));
+    EXPECT_FALSE(l.tryAcquire(LockMode::X));
+}
+
+/** A holder that never releases and a waiter parked behind it. */
+void
+parkWaiter(sim::Simulation &s, HierarchicalLockManager &locks)
+{
+    s.spawn([](HierarchicalLockManager &lk) -> sim::Task<> {
+        co_await lk.lockPage(0, 1, LockMode::X);
+    }(locks));
+    s.spawn([](sim::Simulation &sim,
+               HierarchicalLockManager &lk) -> sim::Task<> {
+        co_await sim.delay(msec(1));
+        co_await lk.lockPage(0, 1, LockMode::S);
+        ADD_FAILURE() << "waiter was granted a lock that is never "
+                         "released";
+    }(s, locks));
+    s.run();
+    EXPECT_EQ(s.liveTasks(), 1);
+}
+
+TEST(PageLockTable, TeardownWithParkedWaiterLocksFirst)
+{
+    // Declaration order: the lock table dies first, then the
+    // Simulation destroys the parked frame holding the queue node.
+    sim::Simulation s;
+    HierarchicalLockManager locks(s, 1);
+    parkWaiter(s, locks);
+    EXPECT_EQ(locks.pageLocks(), 1u);
+}
+
+TEST(PageLockTable, TeardownWithParkedWaiterSimulationFirst)
+{
+    // The Simulation destroys the parked frame (and its queue node)
+    // while the lock table that links to it is still alive; neither
+    // teardown may touch the other's memory.
+    auto s = std::make_unique<sim::Simulation>();
+    HierarchicalLockManager locks(*s, 1);
+    parkWaiter(*s, locks);
+    s.reset();
+    EXPECT_EQ(locks.pageLocks(), 1u);
 }
 
 // ----------------------------------------------------------------------
