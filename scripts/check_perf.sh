@@ -19,13 +19,14 @@
 # commit built here.
 #
 # Exit status: 0 if every benchmark is within tolerance of the
-# baseline (new benchmarks absent from the baseline are reported but
+# baseline (new benchmarks absent from the baseline, and baseline
+# benchmarks absent from the fresh run, are reported as NEW / GONE but
 # do not fail), 1 on a regression, 2 when the baseline was recorded on
 # a different host. A fixed set of required benchmarks —
 # the COW frame-store hot paths (BM_CopyFrame, BM_ZeroFill,
 # BM_PageInOut), the fault path (BM_FullFaultPath, BM_FaultBatch,
 # BM_FaultRedeliver), the resolve path (BM_ResolveThroughBindings,
-# BM_ResolveHashedHit, BM_PerCpuResolveHit), the sharded engine
+# BM_PerCpuResolveHit), the sharded engine
 # (BM_ShardedStep, BM_CrossShardEvent), the batched memory market
 # (BM_MarketRound), the shared-kernel fault path
 # (BM_SharedKernelFault), the replacement-policy hooks
@@ -112,8 +113,7 @@ missing = []
 # drops one of these would blind the gate.
 required = ["BM_CopyFrame", "BM_ZeroFill", "BM_PageInOut",
             "BM_FullFaultPath", "BM_FaultBatch", "BM_FaultRedeliver",
-            "BM_ResolveThroughBindings", "BM_ResolveHashedHit",
-            "BM_PerCpuResolveHit",
+            "BM_ResolveThroughBindings", "BM_PerCpuResolveHit",
             "BM_ShardedStep", "BM_CrossShardEvent",
             "BM_MarketRound", "BM_SharedKernelFault",
             "BM_PolicyTouch", "BM_PolicyVictim", "BM_LockPageCycle"]
@@ -121,7 +121,7 @@ for name in required:
     if not any(n == name or n.startswith(name + "/") for n in new):
         missing.append(name)
 
-wide = max((len(n) for n in new), default=20) + 2
+wide = max((len(n) for n in {**base, **new}), default=20) + 2
 print(f"  {'benchmark':<{wide}} {'old ns':>12} {'new ns':>12} "
       f"{'ratio':>8}  status")
 for name, (t_new, unit) in sorted(new.items()):
@@ -140,6 +140,12 @@ for name, (t_new, unit) in sorted(new.items()):
           f"{ratio:>7.2f}x  {status}")
     if status == "SLOW":
         failed.append(name)
+# Deleted or renamed benchmarks: informational only (required names
+# are caught by the MISSING check below).
+for name, (t_base, _) in sorted(base.items()):
+    if name not in new:
+        print(f"  {name:<{wide}} {t_base:>12.1f} {'-':>12} {'-':>8}  "
+              f"GONE (in baseline, not in fresh run)")
 
 for name in missing:
     print(f"  MISSING {name}: required benchmark not in fresh run "

@@ -164,7 +164,6 @@ Kernel::bindRegionNow(SegmentId seg, PageIndex at, std::uint64_t pages,
     s.addBinding(Binding{at, pages, target, target_start,
                          prot & flag::kProtMask, copy_on_write});
     ++bindRefs_[target];
-    invalidateResolutions();
     bumpSegEpoch(seg);
 }
 
@@ -176,7 +175,6 @@ Kernel::unbindRegionNow(SegmentId seg, PageIndex at)
     if (!b)
         throw KernelError(KernelErrc::BadPage, "no region at page");
     --bindRefs_[b->target];
-    invalidateResolutions();
     bumpSegEpoch(seg);
 }
 
@@ -262,7 +260,6 @@ Kernel::migratePagesNow(SegmentId src, SegmentId dst, PageIndex src_page,
         if (bytes_zeroed)
             *bytes_zeroed = zeroed;
         ++stats_.pagesMigrated;
-        invalidateResolutions();
         bumpSegEpoch(src);
         bumpSegEpoch(dst);
         return 1;
@@ -392,7 +389,6 @@ Kernel::migratePagesNow(SegmentId src, SegmentId dst, PageIndex src_page,
     if (bytes_zeroed)
         *bytes_zeroed = zeroed;
     stats_.pagesMigrated += pages;
-    invalidateResolutions();
     bumpSegEpoch(src);
     bumpSegEpoch(dst);
     return ndst;
@@ -412,7 +408,6 @@ Kernel::modifyPageFlagsNow(SegmentId seg, PageIndex page,
         e->flags = (e->flags | set_flags) & ~clear_flags;
         ++modified;
     }
-    invalidateResolutions();
     bumpSegEpoch(seg);
     return modified;
 }
@@ -550,7 +545,6 @@ Kernel::destroySegment(SegmentId seg)
     segments_.erase(seg);
     bindRefs_.erase(seg);
     ++stats_.segmentsDestroyed;
-    invalidateResolutions();
     // The epoch slot outlives the segment: stale per-CPU chains
     // through the dead id must keep comparing unequal.
     bumpSegEpoch(seg);
@@ -573,7 +567,6 @@ Kernel::sweepToPhysSegment(Segment &seg)
         }
     }
     seg.pages().clear();
-    invalidateResolutions();
     bumpSegEpoch(seg.id());
     bumpSegEpoch(kPhysSegment);
 }
@@ -584,33 +577,11 @@ Kernel::sweepToPhysSegment(Segment &seg)
 
 namespace {
 
-thread_local std::uint64_t tlResolveHits = 0;
-thread_local std::uint64_t tlResolveMisses = 0;
-
 thread_local std::uint64_t tlMarketRounds = 0;
 thread_local std::uint64_t tlMarketBids = 0;
 thread_local sim::Duration tlMarketMaxStarve = 0;
 
 } // namespace
-
-void
-resetThreadResolveCounters()
-{
-    tlResolveHits = 0;
-    tlResolveMisses = 0;
-}
-
-std::uint64_t
-threadResolveHits()
-{
-    return tlResolveHits;
-}
-
-std::uint64_t
-threadResolveMisses()
-{
-    return tlResolveMisses;
-}
 
 void
 resetThreadMarketCounters()
@@ -704,28 +675,6 @@ Kernel::walkResolution(Segment &origin, SegmentId seg, PageIndex page,
 
 Kernel::Resolution
 Kernel::resolve(SegmentId seg, PageIndex page)
-{
-    Segment &origin = segmentOrThrow(seg);
-    const std::uint64_t epoch =
-        resolveEpoch_.load(std::memory_order_relaxed);
-    if (const Resolution *c = origin.cachedResolution(page, epoch)) {
-        ++stats_.resolveHits;
-        ++tlResolveHits;
-        return *c;
-    }
-    ++stats_.resolveMisses;
-    ++tlResolveMisses;
-    Resolution r = walkResolution(origin, seg, page);
-    // A non-present resolution triggers a fault whose handler bumps
-    // the epoch before this page can be asked for again; caching it
-    // would only displace a live entry.
-    if (r.present)
-        origin.storeResolution(page, r, epoch);
-    return r;
-}
-
-Kernel::Resolution
-Kernel::resolveUncached(SegmentId seg, PageIndex page)
 {
     Segment &origin = segmentOrThrow(seg);
     return walkResolution(origin, seg, page);
@@ -885,13 +834,6 @@ Kernel::runCpuTouch(PendingCpuTouch t)
     } catch (...) {
         t.done->setError(std::current_exception());
     }
-}
-
-void
-addThreadResolveCounts(std::uint64_t hits, std::uint64_t misses)
-{
-    tlResolveHits += hits;
-    tlResolveMisses += misses;
 }
 
 sim::SimMutex &
@@ -1266,7 +1208,6 @@ Kernel::reclaimUnresponsive(SegmentManager *mgr)
         if (!victims.empty())
             bumpSegEpoch(sid);
     }
-    invalidateResolutions();
     if (reclaimed)
         bumpSegEpoch(kPhysSegment);
     return reclaimed;

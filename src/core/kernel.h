@@ -19,7 +19,6 @@
 #ifndef VPP_CORE_KERNEL_H
 #define VPP_CORE_KERNEL_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -271,8 +270,8 @@ class Kernel
         std::uint64_t segmentsDestroyed = 0;
         std::uint64_t tlbMisses = 0;
 
-        // Resolve front-cache effectiveness (host-side counters: no
-        // simulated time or events depend on them).
+        // Never incremented: the kernel has no shared resolve cache
+        // (per-CPU hits are cpuHits()); kept for perfbench's reader.
         std::uint64_t resolveHits = 0;
         std::uint64_t resolveMisses = 0;
 
@@ -312,13 +311,18 @@ class Kernel
     /** Result of resolving a segment reference (exposed for tests). */
     using Resolution = ::vpp::kernel::Resolution;
 
+    /** Walk @p seg's own pages and binding chain for @p page. */
     Resolution resolve(SegmentId seg, PageIndex page);
 
     /**
-     * Resolve without consulting or filling the front-cache: the
-     * linear-rescan oracle differential tests compare against.
+     * The cache-free walk the per-CPU caches are checked against.
+     * resolve() caches nothing, so this is resolve() itself.
      */
-    Resolution resolveUncached(SegmentId seg, PageIndex page);
+    Resolution
+    resolveUncached(SegmentId seg, PageIndex page)
+    {
+        return resolve(seg, page);
+    }
 
     // ------------------------------------------------------------------
     // Shared-kernel sharding: per-CPU resolve caches and fault queues
@@ -465,23 +469,12 @@ class Kernel
     void resolveForInstall(SegmentId &seg, PageIndex &page) const;
 
     /**
-     * Invalidate every segment's one-entry resolve cache. Called by
-     * anything that changes what resolve() could observe: migrations,
-     * bind/unbind, flag edits, segment destruction.
-     */
-    void invalidateResolutions()
-    {
-        resolveEpoch_.store(
-            resolveEpoch_.load(std::memory_order_relaxed) + 1,
-            std::memory_order_release);
-    }
-
-    /**
      * Bump one segment's mutation epoch, invalidating exactly the
-     * per-CPU entries whose resolution chain passed through it. Every
-     * invalidateResolutions() site also names the segments it touched
-     * via this — the global epoch stays the coarse per-Segment cache
-     * protocol, the per-segment epochs the fine-grained per-CPU one.
+     * per-CPU entries whose resolution chain passed through it. This
+     * is the kernel's only resolve-cache invalidation: anything that
+     * changes what resolve() could observe (migrations, bind/unbind,
+     * flag edits, segment destruction, reclamation) bumps every
+     * segment whose pages or bindings it changed.
      */
     void bumpSegEpoch(SegmentId s)
     {
@@ -594,7 +587,6 @@ class Kernel
 
     std::unique_ptr<hw::Tlb> tlb_;
     Stats stats_;
-    std::atomic<std::uint64_t> resolveEpoch_{1}; ///< segment caches start at 0
     ResiliencePolicy resilience_;
     SegmentManager *defaultMgr_ = nullptr;
     inject::Engine *inject_ = nullptr;
@@ -602,24 +594,8 @@ class Kernel
 };
 
 /**
- * Per-thread resolve front-cache counters, following the pattern of
- * hw's thread-local disk counters: the sweep runner resets them per
- * row and reports them on the (undiffed) stderr cost line, keeping
- * the committed stdout/JSON tables byte-identical.
- */
-void resetThreadResolveCounters();
-std::uint64_t threadResolveHits();
-std::uint64_t threadResolveMisses();
-
-/**
- * Fold externally-merged counts (e.g. per-CPU cache hits gathered in
- * CPU-id order after a shared-kernel run) into this thread's resolve
- * counters so they show on the sweep cost line.
- */
-void addThreadResolveCounts(std::uint64_t hits, std::uint64_t misses);
-
-/**
- * Per-thread memory-market counters, same pattern: the SPCM reports
+ * Per-thread memory-market counters, following the pattern of hw's
+ * thread-local disk counters: the SPCM reports
  * auction rounds, bids carried in them, and the worst unserved-bid age
  * here; the sweep runner surfaces them on the stderr cost line. They
  * live in the core library (not managers) so the sweep layer can

@@ -6,7 +6,8 @@
  * that must invalidate it — MigratePages, bind/unbind, flag edits,
  * segment teardown and an injected crash-failover sweep — plus the
  * chain-locality property (mutating an unrelated segment must NOT
- * invalidate), the snapshot-epoch publish protocol, the per-CPU fault
+ * invalidate), the per-segment epoch bump of every kernel mutation
+ * entry point, the snapshot-epoch publish protocol, the per-CPU fault
  * in-queues, and byte-identity of the shared-kernel study across
  * worker counts. Suite names (PerCpu*, SharedKernel*) are part of the
  * CI tsan regex.
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -81,7 +83,7 @@ diffProbe(Kernel &k, unsigned cpu, SegmentId s, PageIndex p)
     }
 }
 
-/** The file <- cow - data <- va chain used by the resolve() suite. */
+/** A file <- cow - data <- va chain, two binding hops deep. */
 struct ChainRig
 {
     explicit ChainRig(bool snapshot = false) : kern(s, smallMachine())
@@ -133,9 +135,11 @@ TEST(PerCpuCache, DifferentialAfterMigratePages)
     // Move frames out of the bound file: cached "present at file"
     // entries walked through it and must die with its epoch.
     r.kern.migratePagesNow(r.file, spare, 0, 0, 64, 0, 0);
-    for (PageIndex p = 0; p < 64; ++p)
+    for (PageIndex p = 0; p < 64; ++p) {
         EXPECT_EQ(r.kern.cpuResolve(0, r.va, p), nullptr)
             << "page " << p << " survived the migrate";
+        EXPECT_FALSE(r.kern.resolve(r.va, p).present) << "page " << p;
+    }
     for (PageIndex p = 0; p < 256; ++p)
         diffProbe(r.kern, 0, r.va, p);
     // And back again.
@@ -152,6 +156,7 @@ TEST(PerCpuCache, DifferentialAfterUnbind)
     for (PageIndex p = 0; p < 256; ++p) {
         EXPECT_EQ(r.kern.cpuResolve(0, r.va, p), nullptr)
             << "page " << p << " survived the unbind";
+        EXPECT_FALSE(r.kern.resolve(r.va, p).present) << "page " << p;
         diffProbe(r.kern, 0, r.va, p);
     }
     r.kern.bindRegionNow(r.va, 16, 64, r.data, 32, flag::kProtMask);
@@ -181,11 +186,14 @@ TEST(PerCpuCache, DifferentialAfterSegmentTeardown)
     // through va is invalid, and probing the dead id itself misses
     // rather than touching freed state.
     EXPECT_EQ(r.kern.cpuResolve(0, r.va, 0), nullptr);
+    EXPECT_THROW((void)r.kern.resolve(r.va, 0), KernelError);
+    EXPECT_THROW((void)r.kern.resolveUncached(r.va, 0), KernelError);
 
     for (PageIndex p = 0; p < 256; ++p)
         r.kern.cpuStore(0, r.kern.resolveForCpu(r.data, p));
     runTask(r.s, r.kern.destroySegment(r.data));
     EXPECT_EQ(r.kern.cpuResolve(0, r.data, 0), nullptr);
+    EXPECT_THROW((void)r.kern.resolve(r.data, 0), KernelError);
 
     // file's frames survive; a fresh segment binding to it must get
     // correct translations, not the dead segments' cached ones.
@@ -397,6 +405,144 @@ TEST(PerCpuCache, DifferentialAcrossCrashFailoverSweep)
         diffProbe(kern, 0, seg, p);
     std::string why;
     EXPECT_TRUE(kern.checkFrameInvariant(&why)) << why;
+}
+
+// ----------------------------------------------------------------------
+// Per-segment mutation epochs: the only resolve-cache invalidation
+// ----------------------------------------------------------------------
+
+/**
+ * Plain segments (`other` is never touched by any mutation below) plus
+ * a crash-prone manager with failover to the default one. The manager
+ * gets two segments with resident clean pages: `app`, which takes the
+ * failing fault, and `idle`, whose pages only the failover's
+ * reclamation touches.
+ */
+struct EpochRig
+{
+    EpochRig()
+        : kern(s, smallMachine()), spcm(kern, std::nullopt),
+          flaky(kern, "flaky", hw::ManagerMode::SameProcess, &spcm, 1),
+          fallback(kern, "fallback", hw::ManagerMode::SameProcess,
+                   &spcm, kSystemUser),
+          proc("p", 1)
+    {
+        // Plain segments first, so their physical frames are taken
+        // before the managers' pools are granted.
+        file = kern.createSegmentNow("file", 4096, 64, 0);
+        kern.migratePagesNow(kPhysSegment, file, 0, 0, 64, 0, 0);
+        va = kern.createSegmentNow("va", 4096, 64, 0);
+        kern.bindRegionNow(va, 0, 64, file, 0, flag::kProtMask);
+        spare = kern.createSegmentNow("spare", 4096, 64, 0);
+        other = kern.createSegmentNow("other", 4096, 16, 0);
+        kern.migratePagesNow(kPhysSegment, other, 64, 0, 16, 0, 0);
+        victim = kern.createSegmentNow("victim", 4096, 16, 0);
+        kern.migratePagesNow(kPhysSegment, victim, 80, 0, 8, 0, 0);
+        kern.bindRegionNow(victim, 8, 8, file, 0, flag::kProtMask);
+
+        flaky.initNow(128, 64);
+        fallback.initNow(128, 64);
+        app = kern.createSegmentNow("app", 4096, 64, 1, &flaky);
+        idle = kern.createSegmentNow("idle", 4096, 64, 1, &flaky);
+        kern.setDefaultManager(&fallback);
+        ResiliencePolicy pol;
+        pol.enabled = true;
+        pol.faultDeadline = msec(50);
+        pol.maxRedeliveries = 1;
+        pol.retryBackoff = usec(100);
+        pol.failover = true;
+        kern.setResiliencePolicy(pol);
+        for (PageIndex p = 0; p < 4; ++p) {
+            runTask(s, kern.touchSegment(proc, app, p,
+                                         AccessType::Read));
+            runTask(s, kern.touchSegment(proc, idle, p,
+                                         AccessType::Read));
+        }
+    }
+
+    sim::Simulation s;
+    Kernel kern;
+    mgr::SystemPageCacheManager spcm;
+    mgr::GenericSegmentManager flaky;
+    mgr::GenericSegmentManager fallback;
+    Process proc;
+    SegmentId file = 0, va = 0, spare = 0, other = 0, victim = 0;
+    SegmentId app = 0, idle = 0;
+};
+
+TEST(SegmentEpoch, EveryMutationBumpsTouchedSegments)
+{
+    struct Case
+    {
+        const char *name;
+        /** Applies the mutation; returns the segments it changed. */
+        std::function<std::vector<SegmentId>(EpochRig &)> mutate;
+    };
+    const std::vector<Case> cases = {
+        {"bindRegionNow",
+         [](EpochRig &r) {
+             r.kern.bindRegionNow(r.spare, 0, 8, r.file, 0,
+                                  flag::kProtMask);
+             return std::vector<SegmentId>{r.spare};
+         }},
+        {"unbindRegionNow",
+         [](EpochRig &r) {
+             r.kern.unbindRegionNow(r.va, 0);
+             return std::vector<SegmentId>{r.va};
+         }},
+        {"migratePagesNow 1 page",
+         [](EpochRig &r) {
+             r.kern.migratePagesNow(r.file, r.spare, 5, 5, 1, 0, 0);
+             return std::vector<SegmentId>{r.file, r.spare};
+         }},
+        {"migratePagesNow 16 pages",
+         [](EpochRig &r) {
+             r.kern.migratePagesNow(r.file, r.spare, 16, 16, 16, 0, 0);
+             return std::vector<SegmentId>{r.file, r.spare};
+         }},
+        {"modifyPageFlagsNow",
+         [](EpochRig &r) {
+             r.kern.modifyPageFlagsNow(r.file, 3, 2, 0,
+                                       flag::kWritable);
+             return std::vector<SegmentId>{r.file};
+         }},
+        {"destroySegment",
+         [](EpochRig &r) {
+             // The victim's frames are swept back to the physical
+             // segment; its binding into file goes with it.
+             runTask(r.s, r.kern.destroySegment(r.victim));
+             return std::vector<SegmentId>{r.victim, kPhysSegment};
+         }},
+        {"reclaimUnresponsive on failover",
+         [](EpochRig &r) {
+             inject::Config c;
+             c.enabled = true;
+             c.seed = 3;
+             c.manager.crashProb = 1.0;
+             inject::Engine eng(c);
+             r.kern.setInjector(&eng);
+             runTask(r.s, r.kern.touchSegment(r.proc, r.app, 10,
+                                              AccessType::Read));
+             r.kern.setInjector(nullptr);
+             EXPECT_EQ(r.kern.stats().failovers, 1u);
+             EXPECT_GT(r.kern.stats().framesReclaimed, 0u);
+             return std::vector<SegmentId>{r.app, r.idle, kPhysSegment,
+                                           r.fallback.freeSegment()};
+         }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        EpochRig r;
+        std::vector<std::uint64_t> before;
+        for (SegmentId id = 0; id <= r.idle; ++id)
+            before.push_back(r.kern.segmentEpoch(id));
+        const std::vector<SegmentId> touched = c.mutate(r);
+        for (SegmentId id : touched)
+            EXPECT_GT(r.kern.segmentEpoch(id), before[id])
+                << "segment " << id << " not bumped";
+        EXPECT_EQ(r.kern.segmentEpoch(r.other), before[r.other])
+            << "unrelated segment bumped";
+    }
 }
 
 // ----------------------------------------------------------------------
