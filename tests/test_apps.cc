@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "apps/workload.h"
@@ -21,6 +22,14 @@ struct Expected
     double paperVppSec;
     double paperUltrixSec;
 };
+
+// Name each case after its program. Without this gtest prints the raw
+// bytes of Expected, whose function pointer moves with every build.
+void
+PrintTo(const Expected &e, std::ostream *os)
+{
+    *os << e.spec().name;
+}
 
 class AppStudy : public ::testing::TestWithParam<Expected>
 {};
