@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -161,6 +162,33 @@ BM_PerCpuResolveHit(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PerCpuResolveHit);
+
+void
+BM_CpuTouchDrain(benchmark::State &state)
+{
+    // One CPU touch per drain of the shared kernel's touch queue, with
+    // Arg CPUs configured: park the touch, yield, release the wave,
+    // re-check the queue. The touched pages are resident, so no fault
+    // is delivered and the time is the queue and drain machinery
+    // alone. A drain costs O(pending touches), so /256 should match /8.
+    const unsigned cpus = static_cast<unsigned>(state.range(0));
+    sim::Simulation s;
+    kernel::Kernel kern(s, benchMachine());
+    kernel::SegmentId seg = kern.createSegmentNow("seg", 4096, 64, 0);
+    kern.migratePagesNow(kernel::kPhysSegment, seg, 0, 0, 64, 0, 0);
+    kern.configureCpus(cpus, /*snapshot_epochs=*/false);
+    kernel::Process proc("p", 0);
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        kernel::runTask(
+            s, kern.touchOnCpu(static_cast<unsigned>(i % cpus), proc,
+                               seg, i % 64, kernel::AccessType::Read));
+        ++i;
+    }
+    benchmark::DoNotOptimize(kern.stats().cpuDrains);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CpuTouchDrain)->Arg(8)->Arg(256);
 
 void
 BM_FullFaultPath(benchmark::State &state)
@@ -656,6 +684,26 @@ BM_PolicyVictim(benchmark::State &state)
 }
 BENCHMARK(BM_PolicyVictim)->DenseRange(0, 3);
 
+/** The first "model name" of /proc/cpuinfo, or "unknown". */
+std::string
+cpuModelName()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        const std::size_t start =
+            line.find_first_not_of(" \t", colon + 1);
+        return start == std::string::npos ? std::string()
+                                          : line.substr(start);
+    }
+    return "unknown";
+}
+
 } // namespace
 
 /**
@@ -694,6 +742,9 @@ main(int argc, char **argv)
     benchmark::Initialize(&n, args.data());
     if (benchmark::ReportUnrecognizedArguments(n, args.data()))
         return 1;
+    // google-benchmark's context has CPU count and clock but not the
+    // CPU model; check_perf.sh compares this too before timing.
+    benchmark::AddCustomContext("cpu_model", cpuModelName());
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

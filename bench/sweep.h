@@ -119,7 +119,9 @@ parseArgs(int argc, char **argv, const char *benchName)
         } else if (std::strncmp(a, "--policy=", 9) == 0) {
             opt.policy = a + 9;
         } else if (std::strcmp(a, "--json") == 0) {
-            opt.jsonPath = "-";
+            // Not `= "-"`: assigning a literal raises a false GCC 12
+            // -Wrestrict warning in Release.
+            opt.jsonPath.assign(1, '-');
         } else if (std::strncmp(a, "--json=", 7) == 0) {
             opt.jsonPath = a + 7;
         } else if (std::strcmp(a, "--no-progress") == 0) {
@@ -312,23 +314,31 @@ class Sweep
     std::string
     jsonStr() const
     {
-        std::string out = "{\n  \"bench\": \"" + escape(name_) +
-                          "\",\n  \"rows\": [\n";
+        // Built by appending pieces: `literal + std::string` chains
+        // make GCC 12 raise false -Wrestrict warnings in Release.
+        std::string out;
+        out.reserve(64 + 128 * results_.size());
+        out.append("{\n  \"bench\": \"")
+            .append(escape(name_))
+            .append("\",\n  \"rows\": [\n");
         for (std::size_t i = 0; i < results_.size(); ++i) {
-            out += "    { \"name\": \"" + escape(labels_[i]) +
-                   "\", \"metrics\": {";
+            out.append("    { \"name\": \"")
+                .append(escape(labels_[i]))
+                .append("\", \"metrics\": {");
             const auto &ms = results_[i].metrics;
             for (std::size_t m = 0; m < ms.size(); ++m) {
                 char buf[64];
                 std::snprintf(buf, sizeof(buf), "%.10g",
                               ms[m].second);
-                out += m ? ", " : " ";
-                out += "\"" + escape(ms[m].first) + "\": " + buf;
+                out.append(m ? ", \"" : " \"")
+                    .append(escape(ms[m].first))
+                    .append("\": ")
+                    .append(buf);
             }
-            out += " } }";
-            out += i + 1 < results_.size() ? ",\n" : "\n";
+            out.append(" } }").append(i + 1 < results_.size() ? ",\n"
+                                                               : "\n");
         }
-        out += "  ]\n}\n";
+        out.append("  ]\n}\n");
         return out;
     }
 

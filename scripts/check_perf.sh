@@ -12,7 +12,8 @@
 # (scripts/run_all_benches.sh --perf does this after its own build).
 #
 # Same-host only: the baseline's google-benchmark context (CPU count,
-# MHz per CPU and library_build_type) must match the fresh run's.
+# MHz per CPU, library_build_type, and the CPU model name that
+# microbench_host adds as `cpu_model`) must match the fresh run's.
 # Timings from another host measure the host, not the code, so on a
 # mismatch the gate refuses to compare and exits 2; re-record the
 # baseline on this host or run an interleaved A/B against the parent
@@ -29,7 +30,8 @@
 # BM_PerCpuResolveHit), the sharded engine
 # (BM_ShardedStep, BM_CrossShardEvent), the batched memory market
 # (BM_MarketRound), the shared-kernel fault path
-# (BM_SharedKernelFault), the replacement-policy hooks
+# (BM_SharedKernelFault) and touch-queue drain (BM_CpuTouchDrain),
+# the replacement-policy hooks
 # (BM_PolicyTouch, BM_PolicyVictim) and the DB page-lock table
 # (BM_LockPageCycle) — must be present in the fresh
 # run; their absence fails the gate even if everything that did run
@@ -37,7 +39,9 @@
 # BM_PolicyTouch (virtual dispatch through the ReplacementPolicy
 # interface) must stay within 1.1x of BM_PolicyTouchInline (the same
 # clock called directly), so the src/policy refactor can never
-# quietly tax the clockPass hot path.
+# quietly tax the clockPass hot path. Likewise BM_CpuTouchDrain/256
+# must stay within 1.5x of BM_CpuTouchDrain/8: a drain costs
+# O(pending touches), never O(configured CPUs).
 
 set -eu
 
@@ -89,7 +93,8 @@ def times(data):
 base_data, new_data = load(base_path), load(new_path)
 
 # Refuse cross-host comparisons before looking at any timing.
-host_keys = ["num_cpus", "mhz_per_cpu", "library_build_type"]
+host_keys = ["num_cpus", "mhz_per_cpu", "library_build_type",
+             "cpu_model"]
 host = {p: [d.get("context", {}).get(k) for k in host_keys]
         for p, d in (("baseline", base_data), ("fresh", new_data))}
 if host["baseline"] != host["fresh"]:
@@ -116,6 +121,7 @@ required = ["BM_CopyFrame", "BM_ZeroFill", "BM_PageInOut",
             "BM_ResolveThroughBindings", "BM_PerCpuResolveHit",
             "BM_ShardedStep", "BM_CrossShardEvent",
             "BM_MarketRound", "BM_SharedKernelFault",
+            "BM_CpuTouchDrain",
             "BM_PolicyTouch", "BM_PolicyVictim", "BM_LockPageCycle"]
 for name in required:
     if not any(n == name or n.startswith(name + "/") for n in new):
@@ -163,6 +169,19 @@ if "BM_PolicyTouch" in new and "BM_PolicyTouchInline" in new:
           f"{'OK' if ok else 'SLOW'}")
     if not ok:
         failed.append("BM_PolicyTouch vs BM_PolicyTouchInline")
+
+# Pair gate: the touch-queue drain must not grow with the CPU count.
+drain_lo, drain_hi = "BM_CpuTouchDrain/8", "BM_CpuTouchDrain/256"
+if drain_lo in new and drain_hi in new:
+    t_lo, _ = new[drain_lo]
+    t_hi, _ = new[drain_hi]
+    ratio = t_hi / t_lo if t_lo else float("inf")
+    ok = ratio <= 1.5
+    print(f"  touch-drain scaling: {t_hi:.1f} vs {t_lo:.1f} ns "
+          f"({ratio:.2f}x, limit 1.50x)  "
+          f"{'OK' if ok else 'SLOW'}")
+    if not ok:
+        failed.append(f"{drain_hi} vs {drain_lo}")
 
 if failed or missing:
     parts = []

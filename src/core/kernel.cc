@@ -688,9 +688,7 @@ void
 Kernel::configureCpus(unsigned cpus, bool snapshot_epochs)
 {
     cpus_.clear();
-    cpus_.reserve(cpus);
-    for (unsigned i = 0; i < cpus; ++i)
-        cpus_.push_back(std::make_unique<CpuState>());
+    cpus_.resize(cpus);
     cpuSnapshotMode_ = snapshot_epochs;
     if (snapshot_epochs)
         publishCpuEpochs();
@@ -705,7 +703,7 @@ Kernel::publishCpuEpochs()
 const CpuResolution *
 Kernel::cpuResolve(unsigned cpu, SegmentId seg, PageIndex page)
 {
-    CpuState &c = *cpus_.at(cpu);
+    CpuState &c = cpus_.at(cpu);
     // Live mode validates against the mutable epoch table (strict,
     // immediate invalidation); snapshot mode against the copy last
     // published from single-threaded barrier context, which remote
@@ -725,7 +723,7 @@ Kernel::cpuStore(unsigned cpu, const CpuResolution &r)
 {
     if (!r.present || r.chainLen == 0 || r.chainLen > kResolveChainMax)
         return;
-    cpus_.at(cpu)->cache.store(r);
+    cpus_.at(cpu).cache.store(r);
 }
 
 CpuResolution
@@ -767,13 +765,13 @@ Kernel::resolveForCpu(SegmentId seg, PageIndex page)
 std::uint64_t
 Kernel::cpuHits(unsigned cpu) const
 {
-    return cpus_.at(cpu)->hits;
+    return cpus_.at(cpu).hits;
 }
 
 std::uint64_t
 Kernel::cpuMisses(unsigned cpu) const
 {
-    return cpus_.at(cpu)->misses;
+    return cpus_.at(cpu).misses;
 }
 
 sim::Task<>
@@ -783,9 +781,10 @@ Kernel::touchOnCpu(unsigned cpu, Process &p, SegmentId seg,
     if (cpu >= cpus_.size())
         throw KernelError(KernelErrc::BadPage,
                           "no such cpu " + std::to_string(cpu));
-    CpuState &c = *cpus_[cpu];
     auto done = std::make_shared<sim::Promise<>>(*sim_);
-    c.pending.push_back(PendingCpuTouch{&p, seg, page, a, done});
+    cpuQueue_.push_back(PendingCpuTouch{
+        &p, seg, page, a, cpu,
+        static_cast<std::uint32_t>(cpuQueue_.size()), done});
     ++stats_.cpuTouchesQueued;
     if (!cpuDraining_) {
         cpuDraining_ = true;
@@ -798,25 +797,23 @@ sim::Task<>
 Kernel::drainCpuTouches()
 {
     // Yield once so every touch raised at this instant is parked
-    // first, then release them in CPU-id order: the order same-instant
-    // faults reach the coalescing queues (and so the batch composition
-    // managers observe) depends only on CPU ids, never on which shard
-    // delivered which touch first.
+    // first, then release them in CPU-id order (FIFO within a CPU):
+    // the order same-instant faults reach the coalescing queues (and
+    // so the batch composition managers observe) depends only on CPU
+    // ids, never on which shard delivered which touch first.
     co_await sim_->yield();
-    for (;;) {
-        bool any = false;
-        for (auto &cs : cpus_) {
-            if (cs->pending.empty())
-                continue;
-            any = true;
-            std::vector<PendingCpuTouch> batch =
-                std::move(cs->pending);
-            cs->pending.clear();
-            for (PendingCpuTouch &t : batch)
-                sim_->spawn(runCpuTouch(std::move(t)));
-        }
-        if (!any)
-            break;
+    while (!cpuQueue_.empty()) {
+        // Touches are only parked by events, never by the spawns
+        // below, so one swap takes exactly this wave.
+        cpuWave_.swap(cpuQueue_);
+        std::sort(cpuWave_.begin(), cpuWave_.end(),
+                  [](const PendingCpuTouch &x, const PendingCpuTouch &y) {
+                      return x.cpu != y.cpu ? x.cpu < y.cpu
+                                            : x.arrival < y.arrival;
+                  });
+        for (PendingCpuTouch &t : cpuWave_)
+            sim_->spawn(runCpuTouch(std::move(t)));
+        cpuWave_.clear();
         ++stats_.cpuDrains;
         // Another yield catches touches enqueued later within this
         // same instant (event chains behind the first wave).

@@ -348,6 +348,11 @@ class Kernel
     //    shards through the engine's mailboxes in canonical merge
     //    order, so manager-visible batch composition is identical at
     //    any worker count.
+    //  - The touch queue that feeds the fault path is home-shard
+    //    data kept apart from the CpuStates, so no CpuState is
+    //    written by two shards. Draining it costs O(pending touches),
+    //    not O(CPUs); a probe reads one contiguous CpuState and the
+    //    first 64 bytes of one CpuResolution.
 
     /**
      * Create @p cpus per-CPU resolve caches (replacing any existing
@@ -390,12 +395,13 @@ class Kernel
     CpuResolution resolveForCpu(SegmentId seg, PageIndex page);
 
     /**
-     * Fault entry point for a CPU: parks the touch on the CPU's
-     * in-queue; a single drain walks the queues in CPU-id order and
-     * feeds the faults through the regular touchSegment path (and so
-     * into the coalescing/batch machinery). Same-instant faults from
-     * many CPUs therefore reach managers in one deterministic batch
-     * order regardless of how many shards raised them.
+     * Fault entry point for a CPU: parks the touch, tagged with its
+     * CPU id, on the home shard's touch queue; a single drain releases
+     * each wave in CPU-id order (FIFO within a CPU) and feeds the
+     * faults through the regular touchSegment path (and so into the
+     * coalescing/batch machinery). Same-instant faults from many CPUs
+     * therefore reach managers in one deterministic batch order
+     * regardless of how many shards raised them.
      */
     sim::Task<> touchOnCpu(unsigned cpu, Process &p, SegmentId seg,
                            PageIndex page, AccessType a);
@@ -546,33 +552,42 @@ class Kernel
 
     std::map<SegmentManager *, FaultQueue> faultQueues_;
 
-    /** A CPU touch parked on its in-queue awaiting the drain. */
+    /** A CPU touch parked on the home-shard queue awaiting the drain. */
     struct PendingCpuTouch
     {
         Process *proc = nullptr;
         SegmentId seg = kInvalidSegment;
         PageIndex page = 0;
         AccessType access = AccessType::Read;
+        unsigned cpu = 0;
+        std::uint32_t arrival = 0; ///< position in its wave's queue
         std::shared_ptr<sim::Promise<>> done;
     };
 
     /**
-     * Everything a simulated CPU owns. During a sharded run each
-     * CpuState is read and written only by its owner shard, except
-     * `pending`, which only the kernel's home shard touches.
+     * What a simulated CPU owns: its resolve cache and probe counters.
+     * During a sharded run each CpuState is read and written only by
+     * its owner shard. Elements are cache-line aligned so neighbouring
+     * CPUs owned by different shards never share a line.
      */
-    struct CpuState
+    struct alignas(64) CpuState
     {
         CpuResolveCache cache;
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
-        std::vector<PendingCpuTouch> pending;
     };
 
     sim::Task<> drainCpuTouches();
     sim::Task<> runCpuTouch(PendingCpuTouch t);
 
-    std::vector<std::unique_ptr<CpuState>> cpus_;
+    std::vector<CpuState> cpus_;
+    /**
+     * Touches parked since the last drain wave, in arrival order, and
+     * the wave being released. Home shard only; a wave costs
+     * O(pending), whatever the number of CPUs.
+     */
+    std::vector<PendingCpuTouch> cpuQueue_;
+    std::vector<PendingCpuTouch> cpuWave_;
     bool cpuSnapshotMode_ = false;
     bool cpuDraining_ = false;
 

@@ -19,6 +19,7 @@
 #define VPP_CORE_SEGMENT_H
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -87,23 +88,44 @@ inline constexpr std::uint32_t kResolveChainMax = 4;
  */
 struct CpuResolution
 {
+    // Hot part: everything a probe validates (key, chain, epoch sum)
+    // and everything a local hit authorises with (frame, flags,
+    // protection, COW) sits in the first 64 bytes, so a hit reads one
+    // contiguous line-sized span of the entry, never its cold tail.
     SegmentId originSeg = kInvalidSegment; ///< cache key
+    std::uint32_t chainLen = 0; ///< 0 == never valid (empty slot)
     PageIndex originPage = 0;              ///< cache key
-
-    bool present = false;
-    SegmentId seg = kInvalidSegment; ///< entry owner / fault target
-    PageIndex page = 0;
+    SegmentId chain[kResolveChainMax] = {};
+    std::uint64_t epochSum = 0;
     hw::FrameId frame = 0;
     std::uint32_t flags = 0;
     std::uint32_t regionProt = flag::kProtMask;
+    bool present = false;
     bool viaCow = false;
+
+    // Cold: the fault target and COW destination, read only on the
+    // kernel path and by oracle checks.
+    SegmentId seg = kInvalidSegment; ///< entry owner / fault target
+    PageIndex page = 0;
     SegmentId cowSeg = kInvalidSegment;
     PageIndex cowPage = 0;
-
-    std::uint32_t chainLen = 0; ///< 0 == never valid (empty slot)
-    SegmentId chain[kResolveChainMax] = {};
-    std::uint64_t epochSum = 0;
 };
+
+// Each hot field is a naturally aligned scalar, so an offset below 64
+// means the whole field lies in the first 64 bytes.
+static_assert(offsetof(CpuResolution, chainLen) < 64 &&
+                  offsetof(CpuResolution, originPage) < 64 &&
+                  offsetof(CpuResolution, chain) +
+                          sizeof(CpuResolution::chain) <=
+                      64 &&
+                  offsetof(CpuResolution, epochSum) < 64 &&
+                  offsetof(CpuResolution, frame) < 64 &&
+                  offsetof(CpuResolution, flags) < 64 &&
+                  offsetof(CpuResolution, regionProt) < 64 &&
+                  offsetof(CpuResolution, present) < 64 &&
+                  offsetof(CpuResolution, viaCow) < 64,
+              "probe and authorisation fields must share the first "
+              "64 bytes of a CpuResolution");
 
 /**
  * Per-CPU two-level prime-hashed cache of CpuResolution values: a

@@ -49,8 +49,10 @@ struct World
     }
 
     sim::Task<> cpuLoop(Cpu &cpu);
-    sim::Task<> touchOnce(Cpu &cpu, kernel::SegmentId seg,
-                          kernel::PageIndex page, kernel::AccessType a);
+    bool touchLocal(Cpu &cpu, kernel::SegmentId seg,
+                    kernel::PageIndex page, kernel::AccessType a);
+    sim::Task<> kernelTrip(Cpu &cpu, kernel::SegmentId seg,
+                           kernel::PageIndex page, kernel::AccessType a);
     sim::Task<> serveMiss(unsigned cpu, kernel::SegmentId seg,
                           kernel::PageIndex page, kernel::AccessType a,
                           unsigned srcShard, sim::Promise<> done);
@@ -137,9 +139,15 @@ World::World(const SharedKernelParams &p)
     }
 }
 
-sim::Task<>
-World::touchOnce(Cpu &cpu, kernel::SegmentId seg,
-                 kernel::PageIndex page, kernel::AccessType a)
+/**
+ * The probe half of a touch: counts it and, when the CPU's cached
+ * resolution authorises the access, completes it as a local hit.
+ * A plain function, so the common case allocates no coroutine frame;
+ * only a false return goes on to kernelTrip().
+ */
+bool
+World::touchLocal(Cpu &cpu, kernel::SegmentId seg,
+                  kernel::PageIndex page, kernel::AccessType a)
 {
     ++cpu.touches;
     const std::uint32_t need = a == kernel::AccessType::Write
@@ -151,8 +159,15 @@ World::touchOnce(Cpu &cpu, kernel::SegmentId seg,
         // Fully local: the cached resolution authorises the access on
         // the owning shard, with no kernel involvement at all.
         ++cpu.localHits;
-        co_return;
+        return true;
     }
+    return false;
+}
+
+sim::Task<>
+World::kernelTrip(Cpu &cpu, kernel::SegmentId seg,
+                  kernel::PageIndex page, kernel::AccessType a)
+{
     ++cpu.kernelTrips;
     if (cpu.shard == 0) {
         // Home CPUs reach the kernel without an IPI hop.
@@ -161,7 +176,7 @@ World::touchOnce(Cpu &cpu, kernel::SegmentId seg,
         co_return;
     }
     // Remote CPU: the miss crosses to shard 0, the kernel services it
-    // through the per-CPU queue + fault machinery, and the resolution
+    // through its CPU touch queue + fault machinery, and the resolution
     // value travels back for this shard to cache.
     ++cpu.crossRpcs;
     sim::Simulation &mySim = engine.shard(cpu.shard);
@@ -220,7 +235,8 @@ World::cpuLoop(Cpu &cpu)
                 cpu.rng.uniform() < p.writeFraction
                     ? kernel::AccessType::Write
                     : kernel::AccessType::Read;
-            co_await touchOnce(cpu, rels[rel], page, a);
+            if (!touchLocal(cpu, rels[rel], page, a))
+                co_await kernelTrip(cpu, rels[rel], page, a);
         }
         pool.release();
         ++cpu.txns;

@@ -16,8 +16,8 @@
  * (Kernel::cpuResolve) — a hit is serviced entirely on the owning
  * shard, no cross-shard traffic at all. A miss travels to shard 0
  * through the engine mailboxes (one IPI-latency hop each way), where
- * the kernel resolves it through the regular fault path — per-CPU
- * in-queues, coalesced batches, the external manager — and ships the
+ * the kernel resolves it through the regular fault path — its CPU
+ * touch queue, coalesced batches, the external manager — and ships the
  * resolution back for the CPU to cache. Cache validity uses the
  * per-segment epoch snapshot the kernel publishes from the engine's
  * single-threaded barrier hook, so output is byte-identical at any

@@ -4,20 +4,39 @@
 
 namespace vpp::sim {
 
-/** Private-access shim for runRoot's root-frame bookkeeping. */
-struct RootTracker
+/**
+ * Links a detached root frame into its Simulation's list of live
+ * roots. It lives in the root's own frame, so it unlinks itself
+ * whenever that frame is destroyed: on normal completion, or when
+ * ~Simulation destroys a root that never finished.
+ */
+struct RootNode
 {
-    static void
-    add(Simulation &s, void *frame)
+    RootNode(Simulation &s, std::coroutine_handle<> f)
+        : head(&s.rootHead_), next(s.rootHead_), frame(f)
     {
-        s.roots_.insert(frame);
+        if (next)
+            next->prev = this;
+        *head = this;
     }
 
-    static void
-    remove(Simulation &s, void *frame)
+    ~RootNode()
     {
-        s.roots_.erase(frame);
+        if (prev)
+            prev->next = next;
+        else
+            *head = next;
+        if (next)
+            next->prev = prev;
     }
+
+    RootNode(const RootNode &) = delete;
+    RootNode &operator=(const RootNode &) = delete;
+
+    RootNode **head;
+    RootNode *prev = nullptr;
+    RootNode *next;
+    std::coroutine_handle<> frame;
 };
 
 namespace {
@@ -60,8 +79,7 @@ Detached
 runRoot(Simulation *sim, Task<> inner, int *live,
         std::vector<std::exception_ptr> *errors)
 {
-    auto self = co_await SelfHandle{};
-    RootTracker::add(*sim, self.address());
+    RootNode node(*sim, co_await SelfHandle{});
     ++*live;
     try {
         co_await std::move(inner);
@@ -69,7 +87,6 @@ runRoot(Simulation *sim, Task<> inner, int *live,
         errors->push_back(std::current_exception());
     }
     --*live;
-    RootTracker::remove(*sim, self.address());
 }
 
 } // namespace
@@ -81,19 +98,17 @@ Simulation::~Simulation()
     // owns its await chain, so destruction cascades to every suspended
     // child. Locals' destructors may schedule wakeups; those events are
     // swept with the queues below, never fired.
-    auto roots = std::move(roots_);
-    roots_.clear();
-    for (void *frame : roots)
-        std::coroutine_handle<>::from_address(frame).destroy();
+    while (rootHead_)
+        rootHead_->frame.destroy(); // ~RootNode unlinks it
 
     // Destroy any slab-held callables still queued. Inline payloads
     // are trivially destructible by construction; queued coroutine
     // resumptions are not destroyed here because their frames are
     // owned by the tasks that spawned them.
     while (!nowQueue_.empty()) {
-        if (nowQueue_.front().kind == Event::kSlot)
-            releaseSlot(nowQueue_.front().slot);
-        nowQueue_.pop_front();
+        Event ev = nowQueue_.pop();
+        if (ev.kind == Event::kSlot)
+            releaseSlot(ev.slot);
     }
     if (nextValid_ && next_.kind == Event::kSlot)
         releaseSlot(next_.slot);
@@ -168,8 +183,7 @@ Simulation::drainUntil(SimTime deadline)
             }
             now_ = ev.when;
         } else if (!nowQueue_.empty() && now_ <= deadline) {
-            ev = nowQueue_.front();
-            nowQueue_.pop_front();
+            ev = nowQueue_.pop();
         } else {
             break;
         }

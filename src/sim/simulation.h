@@ -33,7 +33,6 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -48,6 +47,8 @@ class SimPanic : public std::logic_error
   public:
     using std::logic_error::logic_error;
 };
+
+struct RootNode;
 
 class Simulation
 {
@@ -341,7 +342,7 @@ class Simulation
         // Same-instant events take the O(1) FIFO; their seq is larger
         // than anything already heaped at now_, so FIFO == seq order.
         if (ev.when == now_) {
-            nowQueue_.push_back(ev);
+            nowQueue_.push(ev);
             return;
         }
         // The soonest future event lives in a register, not the heap:
@@ -358,11 +359,36 @@ class Simulation
         }
     }
 
+    /**
+     * FIFO of same-instant events over a vector: pops advance a head
+     * index and the storage rewinds once everything pushed has been
+     * popped, so steady state neither allocates nor frees.
+     */
+    struct NowQueue
+    {
+        std::vector<Event> items;
+        std::size_t head = 0;
+
+        bool empty() const { return head == items.size(); }
+        void push(const Event &ev) { items.push_back(ev); }
+
+        Event
+        pop()
+        {
+            Event ev = items[head++];
+            if (head == items.size()) {
+                items.clear();
+                head = 0;
+            }
+            return ev;
+        }
+    };
+
     void fireEvent(Event &ev);
 
     SimTime drainUntil(SimTime deadline);
 
-    friend struct RootTracker;
+    friend struct RootNode;
 
     void
     rethrowPending()
@@ -380,13 +406,14 @@ class Simulation
     bool nextValid_ = false;
     Event next_;     ///< minimum of all future events when nextValid_
     std::priority_queue<Event, std::vector<Event>, EventLater> heap_;
-    std::deque<Event> nowQueue_;
+    NowQueue nowQueue_;
     std::deque<CallbackSlot> slots_;
     std::uint32_t freeSlots_ = kNoSlot;
     std::vector<std::exception_ptr> errors_;
-    /// Detached root frames still live; unfinished ones (root tasks
-    /// blocked forever on a future/lock) are destroyed by ~Simulation.
-    std::unordered_set<void *> roots_;
+    /// Intrusive list of live root frames, each linked by a node in
+    /// its own frame; unfinished ones (root tasks blocked forever on a
+    /// future/lock) are destroyed by ~Simulation.
+    RootNode *rootHead_ = nullptr;
 };
 
 } // namespace vpp::sim

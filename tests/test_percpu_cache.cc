@@ -7,8 +7,8 @@
  * segment teardown and an injected crash-failover sweep — plus the
  * chain-locality property (mutating an unrelated segment must NOT
  * invalidate), the per-segment epoch bump of every kernel mutation
- * entry point, the snapshot-epoch publish protocol, the per-CPU fault
- * in-queues, and byte-identity of the shared-kernel study across
+ * entry point, the snapshot-epoch publish protocol, the CPU touch
+ * queue's release order, and byte-identity of the shared-kernel study across
  * worker counts. Suite names (PerCpu*, SharedKernel*) are part of the
  * CI tsan regex.
  */
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -546,7 +547,7 @@ TEST(SegmentEpoch, EveryMutationBumpsTouchedSegments)
 }
 
 // ----------------------------------------------------------------------
-// Per-CPU fault in-queues
+// CPU touch queue: release order and drain waves
 // ----------------------------------------------------------------------
 
 TEST(PerCpuFaultQueue, SameInstantTouchesShareOneBatch)
@@ -584,6 +585,102 @@ TEST(PerCpuFaultQueue, SameInstantTouchesShareOneBatch)
         EXPECT_TRUE(kern.segment(seg).findPage(p) != nullptr);
     std::string why;
     EXPECT_TRUE(kern.checkFrameInvariant(&why)) << why;
+}
+
+/** Records the faulting page of every fault in each batch it gets. */
+class RecordingManager : public mgr::GenericSegmentManager
+{
+  public:
+    using GenericSegmentManager::GenericSegmentManager;
+
+    sim::Task<>
+    handleFaults(Kernel &k, std::span<const Fault> fs) override
+    {
+        std::vector<PageIndex> batch;
+        for (const Fault &f : fs)
+            batch.push_back(f.page);
+        batches.push_back(std::move(batch));
+        co_await GenericSegmentManager::handleFaults(k, fs);
+    }
+
+    std::vector<std::vector<PageIndex>> batches;
+};
+
+/** A coalescing kernel with @p cpus CPUs and one recorded segment. */
+struct QueueRig
+{
+    explicit QueueRig(unsigned cpus)
+        : kern(s, coalescing()), spcm(kern, std::nullopt),
+          manager(kern, "rec", hw::ManagerMode::SameProcess, &spcm, 1)
+    {
+        manager.initNow(256, 128);
+        seg = kern.createSegmentNow("heap", 4096, 256, 1, &manager);
+        kern.configureCpus(cpus, false);
+        for (unsigned c = 0; c < cpus; ++c)
+            procs.push_back(std::make_unique<Process>(
+                "cpu" + std::to_string(c), 1));
+    }
+
+    static hw::MachineConfig
+    coalescing()
+    {
+        hw::MachineConfig m = smallMachine();
+        m.faultCoalescing = true;
+        return m;
+    }
+
+    sim::Task<>
+    touch(unsigned cpu, PageIndex page)
+    {
+        return kern.touchOnCpu(cpu, *procs[cpu], seg, page,
+                               AccessType::Write);
+    }
+
+    sim::Simulation s;
+    Kernel kern;
+    mgr::SystemPageCacheManager spcm;
+    RecordingManager manager;
+    SegmentId seg = kInvalidSegment;
+    std::vector<std::unique_ptr<Process>> procs;
+};
+
+TEST(PerCpuFaultQueue, ReleaseOrderIsCpuIdThenArrival)
+{
+    QueueRig r(8);
+    // Arrival order: CPU 5 (page 0), CPU 2 (page 1), CPU 7 (page 2),
+    // CPU 2 again (page 3), all at one instant.
+    const unsigned cpus[] = {5, 2, 7, 2};
+    std::vector<sim::Task<>> touches;
+    for (PageIndex p = 0; p < 4; ++p)
+        touches.push_back(r.touch(cpus[p], p));
+    runTask(r.s, sim::joinAll(r.s, std::move(touches)));
+
+    EXPECT_EQ(r.kern.stats().cpuDrains, 1u);
+    // One coalesced batch in CPU-id order (2, 2, 5, 7); the two CPU-2
+    // touches keep their arrival order.
+    ASSERT_EQ(r.manager.batches.size(), 1u);
+    EXPECT_EQ(r.manager.batches[0],
+              (std::vector<PageIndex>{1, 3, 0, 2}));
+}
+
+TEST(PerCpuFaultQueue, LateSameInstantTouchFormsSecondWave)
+{
+    QueueRig r(2);
+    std::vector<sim::Task<>> touches;
+    touches.push_back(r.touch(1, 0));
+    // Parks one yield later, after the drain released its first wave
+    // but still at the same simulated instant.
+    touches.push_back([](QueueRig &rig) -> sim::Task<> {
+        co_await rig.s.yield();
+        co_await rig.touch(0, 1);
+    }(r));
+    runTask(r.s, sim::joinAll(r.s, std::move(touches)));
+
+    const auto &st = r.kern.stats();
+    EXPECT_EQ(st.cpuTouchesQueued, 2u);
+    EXPECT_EQ(st.cpuDrains, 2u);
+    EXPECT_NE(r.kern.segment(r.seg).findPage(0), nullptr);
+    EXPECT_NE(r.kern.segment(r.seg).findPage(1), nullptr);
 }
 
 TEST(PerCpuFaultQueue, UnknownCpuThrows)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "sim/random.h"
@@ -144,6 +145,55 @@ TEST(Task, LiveTaskCounting)
     EXPECT_EQ(s.liveTasks(), 1);
     s.run();
     EXPECT_EQ(s.liveTasks(), 0);
+}
+
+TEST(Simulation, UnfinishedRootsDestroyedOnceAtTeardown)
+{
+    // Each root's local counts its destruction in its own slot.
+    struct Counted
+    {
+        int *slot;
+        ~Counted() { ++*slot; }
+    };
+    enum Kind { kBlocks, kFinishes, kThrows };
+    const Kind kinds[] = {kBlocks,   kFinishes, kThrows, kBlocks,
+                          kFinishes, kThrows,   kBlocks};
+    constexpr int kRoots = sizeof(kinds) / sizeof(kinds[0]);
+    int destroyed[kRoots] = {};
+    int errors = 0;
+    {
+        Simulation s;
+        for (int i = 0; i < kRoots; ++i) {
+            s.spawn([](Simulation &sim, Kind k,
+                       int *slot) -> Task<> {
+                Counted c{slot};
+                co_await sim.delay(10);
+                if (k == kThrows)
+                    throw std::runtime_error("root failed");
+                if (k == kBlocks) {
+                    Promise<> never(sim);
+                    co_await never.future();
+                }
+            }(s, kinds[i], &destroyed[i]));
+        }
+        EXPECT_EQ(s.liveTasks(), kRoots);
+        // run() rethrows the first root error; run again to finish.
+        for (;;) {
+            try {
+                s.run();
+                break;
+            } catch (const std::runtime_error &) {
+                ++errors;
+            }
+        }
+        EXPECT_GE(errors, 1);
+        EXPECT_EQ(s.liveTasks(), 3);
+        for (int i = 0; i < kRoots; ++i)
+            EXPECT_EQ(destroyed[i], kinds[i] == kBlocks ? 0 : 1)
+                << "root " << i << " before teardown";
+    }
+    for (int i = 0; i < kRoots; ++i)
+        EXPECT_EQ(destroyed[i], 1) << "root " << i;
 }
 
 TEST(Future, FulfilBeforeAwait)
