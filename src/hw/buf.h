@@ -62,13 +62,9 @@ class BufRef
     static BufRef
     allocate(std::uint32_t size)
     {
-        void *raw = ::operator new(sizeof(Ctrl) + size);
-        auto *c = static_cast<Ctrl *>(raw);
-        c->refs = 1;
-        c->size = size;
-        std::memset(bytes(c), 0, size);
-        liveBytes_ += size;
-        return BufRef(c);
+        BufRef b = allocateUninit(size);
+        std::memset(bytes(b.ctrl_), 0, size);
+        return b;
     }
 
     explicit operator bool() const { return ctrl_ != nullptr; }
@@ -94,7 +90,7 @@ class BufRef
     mutate()
     {
         if (ctrl_->refs > 1) {
-            BufRef copy = allocate(ctrl_->size);
+            BufRef copy = allocateUninit(ctrl_->size);
             std::memcpy(bytes(copy.ctrl_), bytes(ctrl_), ctrl_->size);
             std::swap(ctrl_, copy.ctrl_);
         }
@@ -123,6 +119,18 @@ class BufRef
     };
 
     explicit BufRef(Ctrl *c) : ctrl_(c) {}
+
+    /** A buffer whose bytes the caller overwrites in full. */
+    static BufRef
+    allocateUninit(std::uint32_t size)
+    {
+        void *raw = ::operator new(sizeof(Ctrl) + size);
+        auto *c = static_cast<Ctrl *>(raw);
+        c->refs = 1;
+        c->size = size;
+        liveBytes_ += size;
+        return BufRef(c);
+    }
 
     static std::byte *
     bytes(Ctrl *c)

@@ -93,23 +93,9 @@ class Disk
         return latency_ + sim::sec(transfer_s);
     }
 
-    sim::Task<>
-    read(std::uint64_t bytes)
-    {
-        // Account the attempt up front: an aborted transfer still
-        // occupied the device and must show in the counters.
-        ++reads_;
-        bytesRead_ += bytes;
-        co_await io(bytes, false);
-    }
+    sim::Task<> read(std::uint64_t bytes) { return io(bytes, false); }
 
-    sim::Task<>
-    write(std::uint64_t bytes)
-    {
-        ++writes_;
-        bytesWritten_ += bytes;
-        co_await io(bytes, true);
-    }
+    sim::Task<> write(std::uint64_t bytes) { return io(bytes, true); }
 
     /** A caller is about to retry a failed transfer on this disk. */
     void
@@ -131,6 +117,15 @@ class Disk
     sim::Task<>
     io(std::uint64_t bytes, bool is_write)
     {
+        // Account the attempt up front: an aborted transfer still
+        // occupied the device and must show in the counters.
+        if (is_write) {
+            ++writes_;
+            bytesWritten_ += bytes;
+        } else {
+            ++reads_;
+            bytesRead_ += bytes;
+        }
         co_await mutex_.lock();
         sim::Duration d = transferTime(bytes);
         if (inject_)

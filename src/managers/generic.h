@@ -131,7 +131,7 @@ class GenericSegmentManager : public kernel::SegmentManager
     {
         (void)k;
         (void)f;
-        co_return false;
+        return sim::Task<bool>::ready(false);
     }
 
     /**
@@ -143,7 +143,7 @@ class GenericSegmentManager : public kernel::SegmentManager
     {
         (void)k;
         (void)f;
-        co_return;
+        return sim::Task<>::ready();
     }
 
     /**
@@ -159,7 +159,7 @@ class GenericSegmentManager : public kernel::SegmentManager
         (void)f;
         (void)dst_page;
         (void)free_slot;
-        co_return;
+        return sim::Task<>::ready();
     }
 
     /** Resolve a protection fault. Default: re-enable access. */
@@ -183,7 +183,7 @@ class GenericSegmentManager : public kernel::SegmentManager
         (void)k;
         (void)seg;
         (void)page;
-        co_return;
+        return sim::Task<>::ready();
     }
 
     /**
@@ -227,10 +227,14 @@ class GenericSegmentManager : public kernel::SegmentManager
     {
         (void)k;
         (void)f;
-        co_return takeFreeRun(n);
+        return sim::Task<std::vector<kernel::PageIndex>>::ready(
+            takeFreeRun(n));
     }
 
-    /** Charged MigratePages wrapper that also counts invocations. */
+    /**
+     * Charged MigratePages that also counts invocations. Await the
+     * result at once: the count is taken at the call.
+     */
     sim::Task<std::uint64_t>
     migrate(kernel::Kernel &k, kernel::SegmentId src,
             kernel::SegmentId dst, kernel::PageIndex src_page,
@@ -238,9 +242,8 @@ class GenericSegmentManager : public kernel::SegmentManager
             std::uint32_t set_flags, std::uint32_t clear_flags)
     {
         ++migrates_;
-        co_return co_await k.migratePages(src, dst, src_page, dst_page,
-                                          pages, set_flags,
-                                          clear_flags);
+        return k.migratePages(src, dst, src_page, dst_page, pages,
+                              set_flags, clear_flags);
     }
 
     /**

@@ -9,17 +9,23 @@
  *    drains victims after each segment. The hand moves forward only
  *    and never wraps, so referenced pages survive the pass — exactly
  *    the legacy DefaultSegmentManager::clockPass semantics, which is
- *    what keeps the committed baselines byte-identical.
+ *    what keeps the committed baselines byte-identical. Because
+ *    inserts arrive in ascending PageId, the ring is sorted and
+ *    lookups binary-search it: no per-pass index is built. An insert
+ *    below the ring's last page that is not already live in it
+ *    breaks that order and throws std::logic_error.
  *
  *  - Second-chance mode (clockSecondChance = true, cache
- *    simulations): a classic circular clock over a fixed slot array;
- *    victim() clears reference bits as the hand passes and always
- *    finds a victim while any page is resident.
+ *    simulations): a classic circular clock over a fixed slot array
+ *    with a hash index; victim() clears reference bits as the hand
+ *    passes and always finds a victim while any page is resident.
  */
 
 #ifndef VPP_POLICY_CLOCK_H
 #define VPP_POLICY_CLOCK_H
 
+#include <algorithm>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -43,8 +49,7 @@ class ClockPolicy final : public ReplacementPolicy
         ReplacementPolicy::beginPass(now);
         if (!secondChance_) {
             slots_.clear();
-            index_.clear();
-            free_.clear();
+            live_ = 0;
             hand_ = 0;
         }
     }
@@ -52,13 +57,29 @@ class ClockPolicy final : public ReplacementPolicy
     void
     insert(PageId p) override
     {
+        if (!secondChance_) {
+            // Pass mode always appends: the hand only moves forward, so
+            // reusing a freed slot behind it would hide the page from
+            // the rest of the pass. beginPass() reclaims the tombstones.
+            if (!slots_.empty() && p <= slots_.back().id) {
+                if (find(p) != kNone)
+                    return;
+                if (p < slots_.back().id)
+                    throw std::logic_error(
+                        "ClockPolicy: pass-mode insert out of PageId "
+                        "order");
+                // Re-insert of the tombstoned last page: append again
+                // (find() takes the last slot of an id).
+            }
+            ++stats_.inserts;
+            slots_.push_back(Slot{p, false, true});
+            ++live_;
+            return;
+        }
         if (index_.count(p))
             return;
         ++stats_.inserts;
-        // Pass mode always appends: the hand only moves forward, so
-        // reusing a freed slot behind it would hide the page from the
-        // rest of the pass. beginPass() reclaims the tombstones.
-        if (secondChance_ && !free_.empty()) {
+        if (!free_.empty()) {
             std::size_t s = free_.back();
             free_.pop_back();
             slots_[s] = Slot{p, false, true};
@@ -67,22 +88,23 @@ class ClockPolicy final : public ReplacementPolicy
             index_.emplace(p, slots_.size());
             slots_.push_back(Slot{p, false, true});
         }
+        ++live_;
     }
 
     void
     touch(PageId p) override
     {
-        auto it = index_.find(p);
-        if (it == index_.end())
+        const std::size_t s = find(p);
+        if (s == kNone)
             return;
         ++stats_.touches;
-        slots_[it->second].ref = true;
+        slots_[s].ref = true;
     }
 
     std::optional<PageId>
     victim() override
     {
-        if (index_.empty())
+        if (live_ == 0)
             return std::nullopt;
         if (!secondChance_) {
             // Linear pass: skip referenced pages without clearing
@@ -115,19 +137,19 @@ class ClockPolicy final : public ReplacementPolicy
     void
     remove(PageId p) override
     {
-        auto it = index_.find(p);
-        if (it == index_.end())
+        const std::size_t s = find(p);
+        if (s == kNone)
             return;
         ++stats_.removes;
-        slots_[it->second].live = false;
-        free_.push_back(it->second);
-        index_.erase(it);
+        release(s);
     }
 
-    bool contains(PageId p) const override { return index_.count(p); }
-    std::uint64_t size() const override { return index_.size(); }
+    bool contains(PageId p) const override { return find(p) != kNone; }
+    std::uint64_t size() const override { return live_; }
 
   private:
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
     struct Slot
     {
         PageId id = 0;
@@ -135,22 +157,54 @@ class ClockPolicy final : public ReplacementPolicy
         bool live = false;
     };
 
+    /** Slot holding @p p live, or kNone. */
+    std::size_t
+    find(PageId p) const
+    {
+        if (secondChance_) {
+            auto it = index_.find(p);
+            return it == index_.end() ? kNone : it->second;
+        }
+        // The ring is sorted by id; a re-inserted id follows its
+        // tombstones, so only the last slot of an id can be live.
+        auto it = std::upper_bound(
+            slots_.begin(), slots_.end(), p,
+            [](PageId v, const Slot &s) { return v < s.id; });
+        if (it == slots_.begin())
+            return kNone;
+        --it;
+        return it->id == p && it->live
+                   ? static_cast<std::size_t>(it - slots_.begin())
+                   : kNone;
+    }
+
+    void
+    release(std::size_t s)
+    {
+        slots_[s].live = false;
+        --live_;
+        if (secondChance_) {
+            free_.push_back(s);
+            index_.erase(slots_[s].id);
+        }
+    }
+
     PageId
     evictAt(std::size_t s)
     {
         PageId id = slots_[s].id;
-        slots_[s].live = false;
-        free_.push_back(s);
-        index_.erase(id);
+        release(s);
         ++stats_.evictions;
         return id;
     }
 
     bool secondChance_;
     std::vector<Slot> slots_; ///< ring in insertion order
+    std::uint64_t live_ = 0;  ///< live slots
+    std::size_t hand_ = 0;
+    /// Second-chance mode only: reusable slots and the page index.
     std::vector<std::size_t> free_;
     std::unordered_map<PageId, std::size_t> index_;
-    std::size_t hand_ = 0;
 };
 
 } // namespace vpp::policy

@@ -31,6 +31,12 @@ std::int64_t threadCurrentBytes();
 /** High-water mark of threadCurrentBytes() since the last reset. */
 std::int64_t threadPeakBytes();
 
+/**
+ * Number of operator new calls made by this thread so far (0 when the
+ * hooks are compiled out).
+ */
+std::uint64_t threadAllocations();
+
 /** Restart the peak high-water mark from the current level. */
 void resetThreadPeak();
 

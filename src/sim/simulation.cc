@@ -169,18 +169,19 @@ Simulation::drainUntil(SimTime deadline)
     rethrowPending();
     for (;;) {
         Event ev;
-        // next_ is the minimum of all future events, so it stands in
-        // for the heap top; the heap refills it on consumption.
-        if (nextValid_ &&
-            (next_.when == now_ ||
-             (nowQueue_.empty() && next_.when <= deadline))) {
-            ev = next_;
-            if (!heap_.empty()) {
-                next_ = heap_.top();
-                heap_.pop();
-            } else {
+        // The next future event is the register when full, else the
+        // heap top; either way it precedes every other future event.
+        // Heaped events at now_ precede the FIFO (smaller seq).
+        const Event *next = nextValid_        ? &next_
+                            : !heap_.empty() ? &heap_.top()
+                                             : nullptr;
+        if (next && (next->when == now_ ||
+                     (nowQueue_.empty() && next->when <= deadline))) {
+            ev = *next;
+            if (nextValid_)
                 nextValid_ = false;
-            }
+            else
+                heap_.pop();
             now_ = ev.when;
         } else if (!nowQueue_.empty() && now_ <= deadline) {
             ev = nowQueue_.pop();

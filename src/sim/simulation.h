@@ -8,15 +8,24 @@
  * futures, semaphores and channels (sync.h). Events at the same
  * timestamp run in FIFO order, making every run deterministic.
  *
- * Hot-path design: an event is a 32-byte POD carrying either a
- * coroutine handle (the dominant case — delay()/yield() resumption and
- * all sync.h wakeups) or an index into a slab of fixed-size callback
- * slots with a free list. Neither case heap-allocates per event in
- * steady state. Events scheduled for the *current* instant bypass the
- * binary heap through a FIFO side queue; because any event scheduled at
- * `now` necessarily carries a larger sequence number than everything
- * already heaped at `now`, draining the heap's now-events first and the
- * FIFO second reproduces the (when, seq) total order bit-for-bit.
+ * Hot-path design: an event is a 48-byte POD carrying a coroutine
+ * handle (the dominant case — delay()/yield() resumption and all
+ * sync.h wakeups), a small trivially-copyable callable inline, or an
+ * index into a slab of fixed-size callback slots with a free list. No
+ * case heap-allocates per event in steady state. Events scheduled for
+ * the *current* instant bypass the binary heap through a FIFO side
+ * queue; because any event scheduled at `now` necessarily carries a
+ * larger sequence number than everything already heaped at `now`,
+ * draining the heap's now-events first and the FIFO second reproduces
+ * the (when, seq) total order bit-for-bit.
+ *
+ * Future events go through a one-entry next-event register in front of
+ * the heap. Invariant: when the register is full it holds the earliest
+ * of all future events; when it is empty the heap holds them all. The
+ * register is left empty when its event runs (never refilled from the
+ * heap), and a new event enters an empty register only if it precedes
+ * the heap top. So a schedule-one/run-one chain never touches the heap,
+ * even while a far-future event (a deadline) sits in it.
  */
 
 #ifndef VPP_SIM_SIMULATION_H
@@ -120,27 +129,25 @@ class Simulation
         pushEvent(ev);
     }
 
-    /** Awaitable that suspends the coroutine for @p d simulated time. */
-    auto
-    delay(Duration d)
+    /** Awaitable of delay(); a non-positive duration does not suspend. */
+    struct DelayAwaiter
     {
-        struct Awaiter
+        bool await_ready() const noexcept { return dur <= 0; }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
         {
-            bool await_ready() const noexcept { return dur <= 0; }
+            sim->scheduleResume(sim->now_ + dur, h);
+        }
 
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                sim->scheduleResume(sim->now_ + dur, h);
-            }
+        void await_resume() const noexcept {}
 
-            void await_resume() const noexcept {}
+        Simulation *sim;
+        Duration dur;
+    };
 
-            Simulation *sim;
-            Duration dur;
-        };
-        return Awaiter{this, d};
-    }
+    /** Awaitable that suspends the coroutine for @p d simulated time. */
+    DelayAwaiter delay(Duration d) { return DelayAwaiter{this, d}; }
 
     /**
      * Awaitable that reschedules the coroutine at the current time,
@@ -181,6 +188,8 @@ class Simulation
             return now_;
         if (nextValid_)
             return next_.when;
+        if (!heap_.empty())
+            return heap_.top().when;
         return kNoEvent;
     }
 
@@ -345,15 +354,20 @@ class Simulation
             nowQueue_.push(ev);
             return;
         }
-        // The soonest future event lives in a register, not the heap:
-        // the schedule-one/run-one pattern and any wakeup that becomes
-        // the next event skip the heap entirely.
-        if (!nextValid_) {
+        // The register holds the soonest future event when full and is
+        // empty otherwise: an event becomes the register only if it
+        // precedes everything else pending, so the schedule-one/run-one
+        // pattern skips the heap even behind a far-future event.
+        if (nextValid_) {
+            if (earlier(ev, next_)) {
+                heap_.push(next_);
+                next_ = ev;
+            } else {
+                heap_.push(ev);
+            }
+        } else if (heap_.empty() || earlier(ev, heap_.top())) {
             next_ = ev;
             nextValid_ = true;
-        } else if (earlier(ev, next_)) {
-            heap_.push(next_);
-            next_ = ev;
         } else {
             heap_.push(ev);
         }
@@ -404,7 +418,8 @@ class Simulation
     std::uint64_t eventsRun_ = 0;
     int liveTasks_ = 0;
     bool nextValid_ = false;
-    Event next_;     ///< minimum of all future events when nextValid_
+    Event next_;     ///< minimum of all future events when nextValid_;
+                     ///< when empty, the heap holds every future event
     std::priority_queue<Event, std::vector<Event>, EventLater> heap_;
     NowQueue nowQueue_;
     std::deque<CallbackSlot> slots_;

@@ -252,11 +252,8 @@ class SimMutex
   public:
     explicit SimMutex(Simulation &sim) : sem_(sim, 1) {}
 
-    Task<>
-    lock()
-    {
-        co_await sem_.acquire();
-    }
+    /** Awaitable that acquires the mutex (no coroutine frame). */
+    auto lock() { return sem_.acquire(); }
 
     void unlock() { sem_.release(); }
 

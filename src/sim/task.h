@@ -7,6 +7,10 @@
  * processes (applications, segment managers, the file server, database
  * transactions) are written as ordinary coroutines that co_await delays,
  * futures and other tasks; the Simulation event loop drives them.
+ *
+ * A function whose result is known without suspending can return a
+ * finished Task with no coroutine frame (Task<T>::ready(v),
+ * Task<>::ready()); awaiting it completes at once, creating no event.
  */
 
 #ifndef VPP_SIM_TASK_H
@@ -15,9 +19,11 @@
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <new>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 namespace vpp::sim {
@@ -51,9 +57,11 @@ class FramePool
     static void *
     allocate(std::size_t n)
     {
+        Lists &l = lists();
+        ++l.allocations;
         const std::size_t cls = (n + kGranule - 1) >> kShift;
         if (cls < kClasses) {
-            void *&head = lists().free[cls];
+            void *&head = l.free[cls];
             if (head) {
                 void *out = head;
                 head = *static_cast<void **>(out);
@@ -77,6 +85,12 @@ class FramePool
         ::operator delete(p);
     }
 
+    /**
+     * Blocks handed out on this thread so far, recycled or not:
+     * coroutine frames plus PoolAlloc objects (future states).
+     */
+    static std::uint64_t threadAllocations() { return lists().allocations; }
+
   private:
     static constexpr std::size_t kShift = 6;
     static constexpr std::size_t kGranule = std::size_t{1} << kShift;
@@ -85,6 +99,7 @@ class FramePool
     struct Lists
     {
         void *free[kClasses] = {};
+        std::uint64_t allocations = 0;
 
         ~Lists()
         {
@@ -233,7 +248,22 @@ class Task
         : handle_(h)
     {}
 
-    Task(Task &&o) noexcept : handle_(std::exchange(o.handle_, nullptr)) {}
+    /** A finished task holding @p v, with no coroutine frame. */
+    template <typename U>
+    static Task
+    ready(U &&v)
+    {
+        Task t;
+        t.ready_.emplace(std::forward<U>(v));
+        return t;
+    }
+
+    Task(Task &&o) noexcept
+        : handle_(std::exchange(o.handle_, nullptr)),
+          ready_(std::move(o.ready_))
+    {
+        o.ready_.reset();
+    }
 
     Task &
     operator=(Task &&o) noexcept
@@ -241,6 +271,8 @@ class Task
         if (this != &o) {
             destroy();
             handle_ = std::exchange(o.handle_, nullptr);
+            ready_ = std::move(o.ready_);
+            o.ready_.reset();
         }
         return *this;
     }
@@ -250,40 +282,61 @@ class Task
 
     ~Task() { destroy(); }
 
-    bool valid() const noexcept { return handle_ != nullptr; }
-    bool done() const noexcept { return handle_ && handle_.done(); }
+    bool valid() const noexcept { return handle_ || ready_; }
 
-    /** Awaiting a task starts it and suspends until it completes. */
+    bool
+    done() const noexcept
+    {
+        return handle_ ? handle_.done() : ready_.has_value();
+    }
+
+    /**
+     * Awaiting a task starts it and suspends until it completes; a
+     * ready task hands over its value at once. Awaiting an empty task
+     * (default-constructed or moved-from) throws std::logic_error.
+     */
     auto
     operator co_await() &&
     {
         struct Awaiter
         {
-            bool await_ready() const noexcept { return !h || h.done(); }
+            bool
+            await_ready() const noexcept
+            {
+                return !t->handle_ || t->handle_.done();
+            }
 
             std::coroutine_handle<>
             await_suspend(std::coroutine_handle<> awaiting) noexcept
             {
-                h.promise().continuation = awaiting;
-                return h;
+                t->handle_.promise().continuation = awaiting;
+                return t->handle_;
             }
 
             T
             await_resume()
             {
-                auto &p = h.promise();
+                if (!t->handle_) {
+                    if (!t->ready_)
+                        throw std::logic_error("await on an empty Task");
+                    return std::move(*t->ready_);
+                }
+                auto &p = t->handle_.promise();
                 if (p.error)
                     std::rethrow_exception(p.error);
                 assert(p.value.has_value());
                 return std::move(*p.value);
             }
 
-            std::coroutine_handle<promise_type> h;
+            Task *t;
         };
-        return Awaiter{handle_};
+        return Awaiter{this};
     }
 
-    /** Release ownership of the coroutine frame to the caller. */
+    /**
+     * Release ownership of the coroutine frame to the caller (null for
+     * a ready task, whose value stays behind).
+     */
     std::coroutine_handle<promise_type>
     release() noexcept
     {
@@ -301,6 +354,7 @@ class Task
     }
 
     std::coroutine_handle<promise_type> handle_;
+    std::optional<T> ready_; ///< the result of a frame-free ready()
 };
 
 /** Specialisation for tasks that return nothing. */
@@ -333,6 +387,13 @@ class Task<void>
         : handle_(h)
     {}
 
+    /**
+     * A finished task with no coroutine frame. Like any task without a
+     * frame (default-constructed or moved-from), awaiting it completes
+     * at once.
+     */
+    static Task ready() noexcept { return Task(); }
+
     Task(Task &&o) noexcept : handle_(std::exchange(o.handle_, nullptr)) {}
 
     Task &
@@ -350,8 +411,11 @@ class Task<void>
 
     ~Task() { destroy(); }
 
+    /** Whether the task owns a coroutine frame. */
     bool valid() const noexcept { return handle_ != nullptr; }
-    bool done() const noexcept { return handle_ && handle_.done(); }
+
+    /** Nothing left to run: a frameless task or a finished frame. */
+    bool done() const noexcept { return !handle_ || handle_.done(); }
 
     auto
     operator co_await() &&
@@ -370,6 +434,8 @@ class Task<void>
             void
             await_resume()
             {
+                if (!h)
+                    return; // ready(): nothing ran, nothing to rethrow
                 auto &p = h.promise();
                 if (p.error)
                     std::rethrow_exception(p.error);

@@ -8,19 +8,17 @@ namespace vpp::uio {
 FileServer::File &
 FileServer::fileOrThrow(FileId f)
 {
-    auto it = files_.find(f);
-    if (it == files_.end())
+    if (!exists(f))
         throw std::out_of_range("no such file: " + std::to_string(f));
-    return it->second;
+    return files_[f - 1];
 }
 
 const FileServer::File &
 FileServer::fileOrThrow(FileId f) const
 {
-    auto it = files_.find(f);
-    if (it == files_.end())
+    if (!exists(f))
         throw std::out_of_range("no such file: " + std::to_string(f));
-    return it->second;
+    return files_[f - 1];
 }
 
 void
@@ -35,12 +33,10 @@ FileServer::readNow(FileId f, std::uint64_t offset,
         std::uint64_t in_chunk = pos - chunk;
         std::size_t n = std::min<std::size_t>(kChunk - in_chunk,
                                               out.size() - done);
-        auto it = file.chunks.find(chunk);
-        if (it == file.chunks.end())
-            std::memset(out.data() + done, 0, n);
+        if (const hw::BufRef *buf = file.chunkAt(chunk / kChunk))
+            std::memcpy(out.data() + done, buf->data() + in_chunk, n);
         else
-            std::memcpy(out.data() + done, it->second.data() + in_chunk,
-                        n);
+            std::memset(out.data() + done, 0, n);
         done += n;
     }
 }
@@ -57,7 +53,7 @@ FileServer::writeNow(FileId f, std::uint64_t offset,
         std::uint64_t in_chunk = pos - chunk;
         std::size_t n = std::min<std::size_t>(kChunk - in_chunk,
                                               data.size() - done);
-        auto &buf = file.chunks[chunk];
+        hw::BufRef &buf = file.slotAt(chunk / kChunk);
         if (!buf)
             buf = hw::BufRef::allocate(kChunk);
         std::memcpy(buf.mutate() + in_chunk, data.data() + done, n);
@@ -72,8 +68,8 @@ FileServer::shareNow(FileId f, std::uint64_t offset,
 {
     const File &file = fileOrThrow(f);
     if (offset % kChunk == 0 && len == kChunk) {
-        auto it = file.chunks.find(offset);
-        return it == file.chunks.end() ? hw::BufRef() : it->second;
+        const hw::BufRef *buf = file.chunkAt(offset / kChunk);
+        return buf ? *buf : hw::BufRef();
     }
     hw::BufRef buf = hw::BufRef::allocate(static_cast<std::uint32_t>(len));
     readNow(f, offset, {buf.mutate(), len});
@@ -96,9 +92,9 @@ FileServer::adoptNow(FileId f, std::uint64_t offset, std::uint64_t len,
         return;
     }
     if (buf)
-        file.chunks[offset] = std::move(buf);
-    else
-        file.chunks.erase(offset);
+        file.slotAt(offset / kChunk) = std::move(buf);
+    else if (offset / kChunk < file.chunks.size())
+        file.chunks[offset / kChunk].reset();
     file.size = std::max(file.size, offset + len);
 }
 

@@ -21,6 +21,18 @@
 namespace vpp::mgr {
 namespace {
 
+/**
+ * @p prefix followed by @p n. Appending, unlike `"lit" +
+ * std::to_string(n)` (an insert at the front), keeps GCC 12's
+ * -Wrestrict false positive out of Release builds.
+ */
+std::string
+numbered(std::string prefix, std::uint64_t n)
+{
+    prefix += std::to_string(n);
+    return prefix;
+}
+
 using kernel::runTask;
 using sim::msec;
 using sim::usec;
@@ -236,10 +248,10 @@ TEST(MarketRounds, SameInstantBidsShareOneCrossing)
     std::vector<kernel::SegmentId> segs;
     std::vector<std::uint64_t> got(kTenants, 0);
     for (int t = 0; t < kTenants; ++t) {
-        ids.push_back(spcm.registerClient("t" + std::to_string(t),
+        ids.push_back(spcm.registerClient(numbered("t", t),
                                           10 + t, 0.0));
         segs.push_back(kern.createSegmentNow(
-            "s" + std::to_string(t), 4096, 8, 10 + t));
+            numbered("s", t), 4096, 8, 10 + t));
     }
     for (int t = 0; t < kTenants; ++t) {
         s.spawn([](SystemPageCacheManager *m, ClientId c,
@@ -379,10 +391,10 @@ TEST(MarketAdmission, WaiterCapBoundsTheQueue)
     std::vector<kernel::SegmentId> segs;
     std::vector<std::uint64_t> got(kTenants, 7);
     for (int t = 0; t < kTenants; ++t) {
-        ids.push_back(spcm.registerClient("t" + std::to_string(t),
+        ids.push_back(spcm.registerClient(numbered("t", t),
                                           10 + t, 0.0));
         segs.push_back(kern.createSegmentNow(
-            "s" + std::to_string(t), 4096, 8, 10 + t));
+            numbered("s", t), 4096, 8, 10 + t));
     }
     for (int t = 0; t < kTenants; ++t) {
         s.spawn([](SystemPageCacheManager *m, ClientId c,

@@ -108,6 +108,51 @@ TEST(PolicyClock, BeginPassEmptiesTheRing)
     EXPECT_EQ(p.stats().passes, 2u);
 }
 
+TEST(PolicyClock, PassModeLooksUpTheSortedRing)
+{
+    policy::ClockPolicy p({});
+    p.beginPass(0);
+    // Canonical order across segments: (1, 900) < (2, 0) < (2, 5).
+    for (std::uint64_t pg = 0; pg < 1000; pg += 3)
+        p.insert(makePageId(1, pg));
+    p.insert(makePageId(2, 0));
+    p.insert(makePageId(2, 5));
+    EXPECT_EQ(p.size(), 336u);
+    EXPECT_TRUE(p.contains(makePageId(1, 999)));
+    EXPECT_FALSE(p.contains(makePageId(1, 998)));
+    EXPECT_FALSE(p.contains(makePageId(3, 0)));
+
+    // A repeated insert of a live page is ignored, in order or not.
+    p.insert(makePageId(1, 3));
+    p.insert(makePageId(2, 5));
+    EXPECT_EQ(p.size(), 336u);
+    EXPECT_EQ(p.stats().inserts, 336u);
+
+    // An insert below the ring's last page that is not in the ring
+    // breaks canonical order.
+    EXPECT_THROW(p.insert(makePageId(1, 4)), std::logic_error);
+
+    p.touch(makePageId(1, 0));
+    p.remove(makePageId(1, 3));
+    p.remove(makePageId(1, 4)); // absent: ignored
+    EXPECT_FALSE(p.contains(makePageId(1, 3)));
+    EXPECT_EQ(p.stats().removes, 1u);
+    p.touch(makePageId(1, 3)); // removed: ignored
+    EXPECT_EQ(p.stats().touches, 1u);
+    EXPECT_EQ(p.victim(), makePageId(1, 6)); // 0 referenced, 3 gone
+
+    // The last page can leave and come back; it is a victim again.
+    p.remove(makePageId(2, 5));
+    p.insert(makePageId(2, 5));
+    EXPECT_TRUE(p.contains(makePageId(2, 5)));
+    std::optional<policy::PageId> last;
+    while (auto v = p.victim())
+        last = v;
+    EXPECT_EQ(last, makePageId(2, 5));
+    EXPECT_EQ(p.size(), 1u); // only the referenced page survives
+    EXPECT_TRUE(p.contains(makePageId(1, 0)));
+}
+
 TEST(PolicyClock, SecondChanceClearsRefBitsAndAlwaysFindsAVictim)
 {
     PolicyParams pp;

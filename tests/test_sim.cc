@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/random.h"
@@ -194,6 +198,274 @@ TEST(Simulation, UnfinishedRootsDestroyedOnceAtTeardown)
     }
     for (int i = 0; i < kRoots; ++i)
         EXPECT_EQ(destroyed[i], 1) << "root " << i;
+}
+
+// ----------------------------------------------------------------------
+// Frame-free ready tasks
+// ----------------------------------------------------------------------
+
+TEST(Task, ReadyValueHasNoFrameAndAwaitsAtOnce)
+{
+    const std::uint64_t frames0 = detail::FramePool::threadAllocations();
+    Task<int> t = Task<int>::ready(7);
+    EXPECT_EQ(detail::FramePool::threadAllocations(), frames0);
+    EXPECT_TRUE(t.valid());
+    EXPECT_TRUE(t.done());
+
+    Simulation s;
+    int got = 0;
+    s.spawn([](Task<int> in, int *out) -> Task<> {
+        *out = co_await std::move(in);
+    }(std::move(t), &got));
+    // The root completed inside spawn(): nothing was scheduled.
+    EXPECT_EQ(got, 7);
+    EXPECT_EQ(s.liveTasks(), 0);
+    EXPECT_EQ(s.nextEventTime(), Simulation::kNoEvent);
+    s.run();
+    EXPECT_EQ(s.eventsRun(), 0u);
+}
+
+TEST(Task, ReadyVoidHasNoFrameAndCompletes)
+{
+    const std::uint64_t frames0 = detail::FramePool::threadAllocations();
+    Task<> t = Task<>::ready();
+    EXPECT_EQ(detail::FramePool::threadAllocations(), frames0);
+    EXPECT_FALSE(t.valid()); // owns no frame
+    EXPECT_TRUE(t.done());
+
+    Simulation s;
+    bool after = false;
+    s.spawn([](Task<> in, bool *a) -> Task<> {
+        co_await std::move(in);
+        *a = true;
+    }(std::move(t), &after));
+    EXPECT_TRUE(after);
+    s.run();
+    EXPECT_EQ(s.eventsRun(), 0u);
+}
+
+TEST(Task, AwaitingEmptyVoidTaskCompletes)
+{
+    // A default-constructed Task<> has no frame, like ready(): awaiting
+    // it must complete, not dereference a null promise.
+    Simulation s;
+    bool after = false;
+    s.spawn([](bool *a) -> Task<> {
+        co_await Task<>{};
+        *a = true;
+    }(&after));
+    s.run();
+    EXPECT_TRUE(after);
+}
+
+TEST(Task, MovedFromReadyTask)
+{
+    Task<std::vector<int>> a = Task<std::vector<int>>::ready(
+        std::vector<int>{1, 2, 3});
+    Task<std::vector<int>> b = std::move(a);
+    EXPECT_FALSE(a.valid());
+    EXPECT_FALSE(a.done());
+    EXPECT_TRUE(b.done());
+
+    Task<std::vector<int>> c;
+    c = std::move(b);
+    EXPECT_FALSE(b.valid());
+
+    Simulation s;
+    std::vector<int> got;
+    bool emptyThrew = false;
+    s.spawn([](Task<std::vector<int>> full, Task<std::vector<int>> empty,
+               std::vector<int> *out, bool *threw) -> Task<> {
+        *out = co_await std::move(full);
+        try {
+            (void)co_await std::move(empty);
+        } catch (const std::logic_error &) {
+            *threw = true;
+        }
+    }(std::move(c), std::move(a), &got, &emptyThrew));
+    s.run();
+    EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
+    EXPECT_TRUE(emptyThrew);
+
+    // A moved-from Task<> is frameless too, so it awaits as done.
+    Task<> v = Task<>::ready();
+    Task<> w = std::move(v);
+    EXPECT_TRUE(v.done());
+    EXPECT_TRUE(w.done());
+}
+
+TEST(Task, ReadyTaskSpawnedAsRoot)
+{
+    Simulation s;
+    s.spawn(Task<>::ready());
+    EXPECT_EQ(s.liveTasks(), 0);
+    s.run();
+    EXPECT_EQ(s.eventsRun(), 0u);
+}
+
+TEST(Task, ExceptionFromRealTaskUnchangedBesideReadyOnes)
+{
+    // A frame-backed task still captures its exception and rethrows it
+    // at the await, after ready tasks in the same caller completed.
+    Simulation s;
+    int ready = 0;
+    std::string caught;
+    s.spawn([](Simulation &sim, int *r, std::string *c) -> Task<> {
+        auto boom = [](Simulation &sm) -> Task<int> {
+            co_await sm.delay(3);
+            throw std::runtime_error("boom");
+        };
+        *r = co_await Task<int>::ready(4);
+        co_await Task<>::ready();
+        try {
+            (void)co_await boom(sim);
+        } catch (const std::runtime_error &e) {
+            *c = e.what();
+        }
+    }(s, &ready, &caught));
+    s.run();
+    EXPECT_EQ(ready, 4);
+    EXPECT_EQ(caught, "boom");
+    EXPECT_EQ(s.now(), 3);
+}
+
+// ----------------------------------------------------------------------
+// Next-event register
+// ----------------------------------------------------------------------
+
+/**
+ * Randomised event traffic that logs, for every event, the (when, n)
+ * pair it was scheduled with (n counts schedule calls, as the engine's
+ * seq does) and the order events fire in. The engine must fire them in
+ * exactly sorted (when, n) order.
+ */
+struct OrderRig
+{
+    Simulation s;
+    Random rng{11};
+    std::uint64_t nextId = 0;
+    std::vector<std::pair<SimTime, std::uint64_t>> scheduled;
+    std::vector<std::uint64_t> fired;
+
+    std::uint64_t
+    note(SimTime when)
+    {
+        scheduled.emplace_back(when, nextId);
+        return nextId++;
+    }
+
+    /** Inline (16-byte trivial) or slot (owns a string) callback. */
+    void
+    callback(SimTime when, int depth)
+    {
+        const std::uint64_t id = note(when);
+        if (rng.below(2) == 0) {
+            struct Inline
+            {
+                OrderRig *r;
+                std::uint32_t id;
+                std::uint32_t depth;
+                void operator()() const { r->fire(id, depth); }
+            };
+            static_assert(sizeof(Inline) == 16);
+            s.schedule(when, Inline{this, static_cast<std::uint32_t>(id),
+                                    static_cast<std::uint32_t>(depth)});
+        } else {
+            s.schedule(when, [this, id, depth,
+                              tag = std::string(40, 'x')] {
+                ASSERT_EQ(tag.size(), 40u);
+                fire(id, depth);
+            });
+        }
+    }
+
+    void
+    fire(std::uint64_t id, int depth)
+    {
+        fired.push_back(id);
+        // Fan out: same-instant and near-future follow-ups.
+        for (int k = 0; depth > 0 && k < 2; ++k)
+            callback(s.now() + static_cast<SimTime>(rng.below(3) * 7),
+                     depth - 1);
+    }
+
+    Task<>
+    chain(int steps)
+    {
+        for (int i = 0; i < steps; ++i) {
+            const std::uint64_t pick = rng.below(8);
+            if (pick == 0) {
+                const std::uint64_t id = note(s.now());
+                co_await s.yield();
+                fired.push_back(id);
+            } else {
+                const Duration d = static_cast<Duration>(pick * 5);
+                const std::uint64_t id = note(s.now() + d);
+                co_await s.delay(d);
+                fired.push_back(id);
+            }
+            if (rng.below(4) == 0)
+                callback(s.now() + static_cast<SimTime>(rng.below(40)),
+                         2);
+        }
+    }
+};
+
+TEST(Simulation, FarFutureEventKeepsExactWhenSeqOrder)
+{
+    OrderRig r;
+    // A far-future event sits in the queue the whole run, as a fault
+    // deadline does: the register must not hide it or run it early.
+    r.callback(1'000'000'000, 0);
+    for (int c = 0; c < 6; ++c)
+        r.s.spawn(r.chain(200));
+    r.callback(1'000'000'000, 1); // same instant, later seq
+    r.s.run();
+
+    auto want = r.scheduled;
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(r.fired.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(r.fired[i], want[i].second) << "event #" << i;
+    EXPECT_EQ(r.s.eventsRun(), want.size());
+    EXPECT_GE(r.s.now(), 1'000'000'000);
+}
+
+TEST(Simulation, NextEventTimeReadsHeapWhenRegisterIsEmpty)
+{
+    Simulation s;
+    int ran = 0;
+    s.schedule(100, [&] { ++ran; }); // takes the empty register
+    s.schedule(200, [&] { ++ran; }); // later: heaped
+    EXPECT_EQ(s.nextEventTime(), 100);
+    s.runUntil(150); // consumes the register, leaves it empty
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(s.nextEventTime(), 200);
+    // An event between now and the heap top takes the register again.
+    s.schedule(170, [&] { ++ran; });
+    EXPECT_EQ(s.nextEventTime(), 170);
+    s.drainBefore(171);
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(s.nextEventTime(), 200);
+    s.run();
+    EXPECT_EQ(ran, 3);
+    EXPECT_EQ(s.nextEventTime(), Simulation::kNoEvent);
+}
+
+TEST(Simulation, DestructorReleasesSlotCallbacksHeldOnlyByHeap)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        Simulation s;
+        s.schedule(10, [] {});
+        // Captures a shared_ptr, so it is a slab-slot callback.
+        s.schedule(1000, [token] { ++*token; });
+        s.runUntil(20); // register consumed; only the heap holds 1000
+        EXPECT_EQ(s.nextEventTime(), 1000);
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 0);
 }
 
 TEST(Future, FulfilBeforeAwait)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,83 @@ TEST(FileServer, ShareAndAdoptAliasChunks)
     fs.adoptNow(f, 4096, 4096, hw::BufRef());
     fs.readNow(f, 4096, back);
     EXPECT_EQ(back[0], std::byte{0});
+}
+
+TEST(FileServer, DenseChunkTableEdges)
+{
+    sim::Simulation s;
+    hw::Disk disk(s, sim::msec(16), 2.0);
+    FileServer fs(s, disk, usec(200));
+    FileId f = fs.createFile("data", 4 * 4096);
+
+    // Chunk 2 written, 0-1 unwritten below it, 3 and past the end
+    // beyond the table: all read back as zeroes.
+    std::vector<std::byte> blob(4096, std::byte{0x5A});
+    fs.writeNow(f, 2 * 4096, blob);
+    std::vector<std::byte> back(3 * 4096, std::byte{0xFF});
+    fs.readNow(f, 0, {back.data(), 2 * 4096});
+    fs.readNow(f, 3 * 4096, {back.data() + 2 * 4096, 4096});
+    for (auto b : back)
+        ASSERT_EQ(b, std::byte{0});
+    std::vector<std::byte> far(100, std::byte{0xFF});
+    fs.readNow(f, 1 << 20, far); // far past the end of the file
+    for (auto b : far)
+        ASSERT_EQ(b, std::byte{0});
+    EXPECT_FALSE(fs.shareNow(f, 4096, 4096));     // below the written one
+    EXPECT_FALSE(fs.shareNow(f, 64 * 4096, 4096)); // past the table
+    EXPECT_EQ(fs.shareNow(f, 2 * 4096, 4096).data()[0], std::byte{0x5A});
+
+    // adoptNow(null) drops the chunk: it reads and shares as zero.
+    fs.adoptNow(f, 2 * 4096, 4096, hw::BufRef());
+    EXPECT_FALSE(fs.shareNow(f, 2 * 4096, 4096));
+    std::vector<std::byte> one(4096, std::byte{0xFF});
+    fs.readNow(f, 2 * 4096, one);
+    EXPECT_EQ(one[0], std::byte{0});
+    EXPECT_EQ(one[4095], std::byte{0});
+    // Dropping a chunk past the table is a no-op that still extends
+    // the file to cover the range, as a stored zero chunk would.
+    fs.adoptNow(f, 9 * 4096, 4096, hw::BufRef());
+    EXPECT_EQ(fs.fileSize(f), 10u * 4096);
+
+    // writeNow grows the file and the table.
+    fs.writeNow(f, 20 * 4096 + 10, {blob.data(), 6});
+    EXPECT_EQ(fs.fileSize(f), 20u * 4096 + 16);
+    std::vector<std::byte> tail(6);
+    fs.readNow(f, 20 * 4096 + 10, tail);
+    EXPECT_EQ(tail[5], std::byte{0x5A});
+
+    // An unaligned share copies: later writes do not show through.
+    fs.writeNow(f, 0, blob);
+    hw::BufRef part = fs.shareNow(f, 100, 4096);
+    ASSERT_TRUE(part);
+    EXPECT_EQ(part.refCount(), 1u);
+    EXPECT_EQ(part.data()[0], std::byte{0x5A});
+    EXPECT_EQ(part.data()[4095], std::byte{0}); // spills into chunk 1
+    std::vector<std::byte> blob2(4096, std::byte{0x11});
+    fs.writeNow(f, 0, blob2);
+    EXPECT_EQ(part.data()[0], std::byte{0x5A});
+}
+
+TEST(FileServer, UnknownIdsThrowOutOfRange)
+{
+    sim::Simulation s;
+    hw::Disk disk(s, sim::msec(16), 2.0);
+    FileServer fs(s, disk, usec(200));
+    FileId a = fs.createFile("a", 10);
+    FileId b = fs.createFile("b", 20);
+    EXPECT_EQ(a, 1u); // ids start at 1; 0 is never a file
+    EXPECT_EQ(b, 2u);
+    EXPECT_FALSE(fs.exists(0));
+    EXPECT_FALSE(fs.exists(3));
+    EXPECT_FALSE(fs.exists(kInvalidFile));
+    EXPECT_EQ(fs.fileSize(b), 20u);
+    EXPECT_EQ(fs.fileName(a), "a");
+    std::vector<std::byte> buf(8);
+    EXPECT_THROW((void)fs.fileSize(0), std::out_of_range);
+    EXPECT_THROW(fs.readNow(0, 0, buf), std::out_of_range);
+    EXPECT_THROW((void)fs.fileSize(3), std::out_of_range);
+    EXPECT_THROW(fs.writeNow(kInvalidFile, 0, buf), std::out_of_range);
+    EXPECT_THROW((void)fs.shareNow(99, 0, 4096), std::out_of_range);
 }
 
 TEST(Paging, RoundTripSharesBuffersAndIsolatesWrites)
