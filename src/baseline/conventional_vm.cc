@@ -20,40 +20,6 @@ ConventionalVm::createProcess(std::string name)
     return id;
 }
 
-sim::Task<>
-ConventionalVm::chargeBlock(std::uint64_t bytes, bool is_write)
-{
-    sim::Duration backoff = uio::kIoRetryBackoff;
-    for (int attempt = 1;; ++attempt) {
-        // co_await is not permitted inside a catch handler, so the
-        // failure is latched and the backoff runs after the try block.
-        bool failed = false;
-        std::string err;
-        try {
-            if (is_write)
-                co_await server_->chargeWrite(bytes);
-            else
-                co_await server_->chargeRead(bytes);
-        } catch (const hw::DiskError &e) {
-            failed = true;
-            err = e.what();
-        }
-        if (!failed)
-            co_return;
-        ++stats_.ioErrors;
-        if (attempt >= uio::kMaxIoRetries) {
-            throw kernel::KernelError(
-                kernel::KernelErrc::IoError,
-                std::string("conventional vm: ") + err + " after " +
-                    std::to_string(attempt) + " attempts");
-        }
-        ++stats_.ioRetries;
-        server_->disk().noteRetry();
-        co_await sim_->delay(backoff);
-        backoff *= 2;
-    }
-}
-
 sim::Duration
 ConventionalVm::minimalFaultCost() const
 {
@@ -127,7 +93,7 @@ ConventionalVm::read(ProcId p, uio::FileId f, std::uint64_t offset,
             // The block's bytes already live on the server; only the
             // fetch cost is real, so charge it without staging the
             // data through a scratch buffer.
-            co_await chargeBlock(ioUnit_, false);
+            co_await chargeBlock(false);
             file.resident.insert(block);
         }
         server_->readNow(f, pos, out.subspan(done, n));
@@ -179,7 +145,7 @@ ConventionalVm::closeFile(uio::FileId f)
         // block-granular flush, extends the file to the block edge.
         std::uint64_t end =
             (block + 1) * static_cast<std::uint64_t>(ioUnit_);
-        co_await chargeBlock(ioUnit_, true);
+        co_await chargeBlock(true);
         server_->resizeFile(f, std::max(server_->fileSize(f), end));
     }
     cache_.erase(it);

@@ -116,12 +116,18 @@ class ConventionalVm
     };
 
     /**
-     * One block transfer with the same bounded-retry policy as the V++
-     * paging path (uio::kMaxIoRetries, doubling backoff), so the
+     * One block transfer, charged and retried exactly as the V++ paging
+     * path charges its transfers (uio::chargeWithRetry), so the
      * robustness comparison is apples-to-apples. Surfaces
-     * KernelErrc::IoError when the budget is exhausted.
+     * KernelErrc::IoError when the retry budget is exhausted.
      */
-    sim::Task<> chargeBlock(std::uint64_t bytes, bool is_write);
+    sim::Task<>
+    chargeBlock(bool is_write)
+    {
+        return uio::chargeWithRetry(*sim_, *server_, ioUnit_, is_write,
+                                    "conventional vm", stats_.ioErrors,
+                                    stats_.ioRetries);
+    }
 
     sim::Simulation *sim_;
     hw::MachineConfig machine_;

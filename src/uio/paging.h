@@ -37,6 +37,19 @@ constexpr int kMaxIoRetries = 4;
 constexpr sim::Duration kIoRetryBackoff = sim::msec(2);
 
 /**
+ * Charge one server transfer of @p bytes: the server's request
+ * overhead, then the disk read or write. A failed transfer is retried
+ * under the policy above; each error adds one to @p io_errors and each
+ * retry one to @p io_retries, and @p what prefixes the IoError
+ * message. The paging helpers below and the conventional-VM baseline
+ * both charge their transfers through it.
+ */
+sim::Task<> chargeWithRetry(sim::Simulation &s, FileServer &srv,
+                            std::uint64_t bytes, bool is_write,
+                            const char *what, std::uint64_t &io_errors,
+                            std::uint64_t &io_retries);
+
+/**
  * Functional page-in with no simulated time: install the file bytes at
  * @p offset into the frames of (@p seg, @p page). Bytes beyond the
  * file's written chunks read as zeroes. The page must be present.
