@@ -495,6 +495,44 @@ BM_CrossShardEvent(benchmark::State &state)
 BENCHMARK(BM_CrossShardEvent)->Arg(1)->Arg(2);
 
 void
+BM_ShardedSparse(benchmark::State &state)
+{
+    // Per-epoch cost when nearly every shard and mailbox is idle: a
+    // token travels a 32-shard ring one hop per lookahead, so each
+    // window has one active shard and one letter among 32x32 boxes.
+    // The engine's fixed cost per epoch is all this measures.
+    const unsigned workers = static_cast<unsigned>(state.range(0));
+    constexpr unsigned kShards = 32;
+    constexpr int kHops = 256;
+    constexpr sim::Duration kLookahead = 1000;
+    sim::ShardedSimulation ss(kShards, kLookahead, workers);
+    struct Ring
+    {
+        sim::ShardedSimulation *ss;
+        int remaining = 0;
+
+        void
+        hop(unsigned me)
+        {
+            if (remaining-- <= 0)
+                return;
+            unsigned next = (me + 1) % kShards;
+            ss->post(next, ss->shard(me).now() + kLookahead,
+                     [this, next] { hop(next); });
+        }
+    };
+    Ring ring{&ss};
+    for (auto _ : state) {
+        ring.remaining = kHops;
+        ss.post(0, ss.shard(0).now(), [&ring] { ring.hop(0); });
+        ss.run();
+    }
+    benchmark::DoNotOptimize(ss.epochs());
+    state.SetItemsProcessed(state.iterations() * kHops);
+}
+BENCHMARK(BM_ShardedSparse)->Arg(1);
+
+void
 BM_MarketRound(benchmark::State &state)
 {
     // Host cost of a batched auction round: `tenants` same-instant

@@ -211,7 +211,7 @@ missing = []
 required = ["BM_CopyFrame", "BM_ZeroFill", "BM_PageInOut",
             "BM_FullFaultPath", "BM_FaultBatch", "BM_FaultRedeliver",
             "BM_ResolveThroughBindings", "BM_PerCpuResolveHit",
-            "BM_ShardedStep", "BM_CrossShardEvent",
+            "BM_ShardedStep", "BM_CrossShardEvent", "BM_ShardedSparse",
             "BM_MarketRound", "BM_SharedKernelFault",
             "BM_CpuTouchDrain",
             "BM_PolicyTouch", "BM_PolicyVictim", "BM_LockPageCycle"]

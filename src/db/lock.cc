@@ -55,6 +55,16 @@ sim::Task<>
 MultiModeLock::acquire(LockMode m)
 {
     if (tryAcquire(m))
+        return sim::Task<>::ready();
+    return acquireSlow(m);
+}
+
+sim::Task<>
+MultiModeLock::acquireSlow(LockMode m)
+{
+    // The task is lazy: by the time it starts, the holder it lost to
+    // at call time may be gone, or someone else may hold the lock.
+    if (tryAcquire(m))
         co_return;
     ++waits_;
     Waiter w{m, sim_->now()};
@@ -105,7 +115,7 @@ HierarchicalLockManager::HierarchicalLockManager(sim::Simulation &s,
 sim::Task<>
 HierarchicalLockManager::lockRelation(int rel, LockMode m)
 {
-    co_await relations_.at(rel)->acquire(m);
+    return relations_.at(rel)->acquire(m);
 }
 
 void
@@ -118,6 +128,18 @@ sim::Task<>
 HierarchicalLockManager::lockPage(int rel, std::uint64_t page,
                                   LockMode m)
 {
+    auto &lock = pages_.try_emplace({rel, page}, *sim_).first->second;
+    if (lock.tryAcquire(m))
+        return sim::Task<>::ready();
+    return lockPageSlow(rel, page, m);
+}
+
+sim::Task<>
+HierarchicalLockManager::lockPageSlow(int rel, std::uint64_t page,
+                                      LockMode m)
+{
+    // Look the entry up again when the task starts: the one seen at
+    // call time is erased if it went idle in between.
     auto &lock = pages_.try_emplace({rel, page}, *sim_).first->second;
     co_await lock.acquire(m);
 }

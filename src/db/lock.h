@@ -15,6 +15,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -55,6 +56,14 @@ class MultiModeLock
     MultiModeLock(const MultiModeLock &) = delete;
     MultiModeLock &operator=(const MultiModeLock &) = delete;
 
+    /**
+     * Take one hold of @p m, FIFO behind earlier waiters. When the
+     * lock is free for @p m now, the hold is granted here, at call
+     * time, and the task is a frameless ready one. Otherwise the
+     * task is a coroutine that retries the grant when it starts (the
+     * lock may have changed hands since the call) and queues if that
+     * fails too.
+     */
     sim::Task<> acquire(LockMode m);
 
     /** Release one hold of @p m; SimPanic if none is held. */
@@ -97,6 +106,7 @@ class MultiModeLock
 
     bool compatibleWithHolders(LockMode m) const;
     void drainQueue();
+    sim::Task<> acquireSlow(LockMode m);
 
     sim::Simulation *sim_;
     int held_[4] = {0, 0, 0, 0};
@@ -116,13 +126,19 @@ class MultiModeLock
  * The page table holds only live locks: an entry exists iff the page
  * lock is held or waited on. unlockPage erases the entry the moment
  * it goes idle, so per-page wait time is not kept (only relation
- * wait time is reported).
+ * wait time is reported). Entries are allocated through FramePool,
+ * so a lock/unlock cycle recycles its node instead of calling malloc.
  */
 class HierarchicalLockManager
 {
   public:
     HierarchicalLockManager(sim::Simulation &s, int relations);
 
+    /**
+     * Both lock calls grant an uncontended request at call time and
+     * return a frameless ready task; a contended one is granted (or
+     * queued) when its task starts. See MultiModeLock::acquire.
+     */
     sim::Task<> lockRelation(int rel, LockMode m);
     void unlockRelation(int rel, LockMode m);
 
@@ -165,9 +181,14 @@ class HierarchicalLockManager
         }
     };
 
+    sim::Task<> lockPageSlow(int rel, std::uint64_t page, LockMode m);
+
     sim::Simulation *sim_;
     std::vector<std::unique_ptr<MultiModeLock>> relations_;
-    std::unordered_map<PageKey, MultiModeLock, PageKeyHash> pages_;
+    std::unordered_map<
+        PageKey, MultiModeLock, PageKeyHash, std::equal_to<PageKey>,
+        sim::detail::PoolAlloc<std::pair<const PageKey, MultiModeLock>>>
+        pages_;
 };
 
 } // namespace vpp::db

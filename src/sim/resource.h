@@ -25,24 +25,34 @@ class CpuPool
         : sim_(&sim), sem_(sim, ncpus), ncpus_(ncpus)
     {}
 
-    /** Wait for a free CPU. Pair with release(). */
+    /**
+     * Wait for a free CPU. Pair with release(). A free CPU is granted
+     * here, at call time, and the task is a frameless ready one;
+     * otherwise the task takes the CPU (or queues for it) when it
+     * starts.
+     */
     Task<>
     acquire()
     {
-        SimTime t0 = sim_->now();
-        co_await sem_.acquire();
-        waitTime_ += sim_->now() - t0;
-        ++acquisitions_;
+        if (sem_.tryAcquire()) {
+            ++acquisitions_;
+            return Task<>::ready();
+        }
+        return acquireSlow();
     }
 
     void release() { sem_.release(); }
 
-    /** Charge @p d of compute time on the CPU currently held. */
-    Task<>
+    /**
+     * Charge @p d of compute time on the CPU currently held. The
+     * time is counted at call time; awaiting the result suspends the
+     * caller for @p d with no frame of its own.
+     */
+    Simulation::DelayAwaiter
     compute(Duration d)
     {
         busyTime_ += d;
-        co_await sim_->delay(d);
+        return sim_->delay(d);
     }
 
     int ncpus() const { return ncpus_; }
@@ -69,6 +79,15 @@ class CpuPool
     }
 
   private:
+    Task<>
+    acquireSlow()
+    {
+        SimTime t0 = sim_->now();
+        co_await sem_.acquire();
+        waitTime_ += sim_->now() - t0;
+        ++acquisitions_;
+    }
+
     Simulation *sim_;
     Semaphore sem_;
     int ncpus_;

@@ -139,8 +139,13 @@ ShardedSimulation::postErased(unsigned dst, SimTime when,
     // effect lags its cause by at least the declared lookahead.
     if (when < from.sim.now() + lookahead_)
         throw SimPanic("cross-shard post inside the lookahead window");
-    mail_[static_cast<std::size_t>(src) * shards_.size() + dst]
-        .push_back(Mail{when, src, from.outSeq++, std::move(fn)});
+    std::vector<Mail> &box =
+        mail_[static_cast<std::size_t>(src) * shards_.size() + dst];
+    // The first letter in a window lists the box in the outbox; the
+    // barrier-B completion routes that list to the destination.
+    if (box.empty())
+        from.outbox.push_back(dst);
+    box.push_back(Mail{when, src, from.outSeq++, std::move(fn)});
     ++from.posted;
 }
 
@@ -148,18 +153,25 @@ void
 ShardedSimulation::mergeShard(unsigned s)
 {
     Shard &sh = *shards_[s];
+    const std::size_t n = shards_.size();
     if (sh.dead) {
+        // A dead shard runs nothing more; its mail is dropped.
+        for (unsigned src : sh.senders)
+            mail_[src * n + s].clear();
+        sh.senders.clear();
         shardMin_[s] = Simulation::kNoEvent;
         return;
     }
+    // Only the boxes routed here at barrier B hold mail; the other
+    // n - senders boxes are empty and go unvisited.
     sh.inbox.clear();
-    const std::size_t n = shards_.size();
-    for (std::size_t src = 0; src < n; ++src) {
+    for (unsigned src : sh.senders) {
         std::vector<Mail> &box = mail_[src * n + s];
         for (Mail &m : box)
             sh.inbox.push_back(std::move(m));
         box.clear();
     }
+    sh.senders.clear();
     if (!sh.inbox.empty()) {
         // Canonical cross-shard order: (timestamp, source shard,
         // source sequence). Scheduling in this order assigns the
@@ -196,6 +208,13 @@ ShardedSimulation::drainShard(unsigned s)
     Shard &sh = *shards_[s];
     if (sh.dead)
         return;
+    // Nothing below the horizon: drainBefore would run no event and
+    // leave the clock where it is, so skipping it is exact. A root
+    // that threw during setup, before it first suspended, left its
+    // error pending with nothing scheduled; drainBefore rethrows it,
+    // so such a shard is still drained.
+    if (shardMin_[s] >= horizon_ && !sh.sim.hasPendingError())
+        return;
     ShardContext ctx(this, s);
     try {
         sh.sim.drainBefore(horizon_);
@@ -213,8 +232,17 @@ ShardedSimulation::computeHorizon()
     SimTime gm = Simulation::kNoEvent;
     for (SimTime t : shardMin_)
         gm = std::min(gm, t);
-    if (gm == Simulation::kNoEvent ||
-        errorCount_.load(std::memory_order_relaxed) != 0) {
+    // With every queue empty, a live shard may still hold a root
+    // error from setup; one more window drains it so run() rethrows.
+    auto setupErrorPending = [this] {
+        return std::any_of(shards_.begin(), shards_.end(),
+                           [](const std::unique_ptr<Shard> &sh) {
+                               return !sh->dead &&
+                                      sh->sim.hasPendingError();
+                           });
+    };
+    if (errorCount_.load(std::memory_order_relaxed) != 0 ||
+        (gm == Simulation::kNoEvent && !setupErrorPending())) {
         done_ = true;
         return;
     }
@@ -229,6 +257,19 @@ ShardedSimulation::computeHorizon()
     // worker count.
     if (epochHook_)
         epochHook_();
+}
+
+/** Barrier-B completion: single-threaded between epochs. */
+void
+ShardedSimulation::routeMail()
+{
+    const unsigned n = static_cast<unsigned>(shards_.size());
+    for (unsigned src = 0; src < n; ++src) {
+        std::vector<unsigned> &out = shards_[src]->outbox;
+        for (unsigned dst : out)
+            shards_[dst]->senders.push_back(src);
+        out.clear();
+    }
 }
 
 void
@@ -249,10 +290,11 @@ ShardedSimulation::workerLoop(unsigned w, unsigned stride)
             return;
         // Phase B: every owned shard drains strictly below the
         // horizon; cross-shard effects park in mailboxes. The second
-        // barrier publishes them to next epoch's merge.
+        // barrier routes the filled boxes to their destinations and
+        // publishes them to next epoch's merge.
         for (unsigned s = w; s < n; s += stride)
             drainShard(s);
-        barrierB_->arriveAndWait(senseB, [] {});
+        barrierB_->arriveAndWait(senseB, [this] { routeMail(); });
     }
 }
 

@@ -23,6 +23,19 @@
  * order and schedules it, which assigns destination sequence numbers
  * deterministically.
  *
+ * Per-epoch cost follows the work, not the shard count squared. A
+ * post that fills an empty src->dst box records dst in the source's
+ * outbox list; the single-threaded completion of the post-drain
+ * barrier (B) routes every outbox into its destination's sender
+ * list, so a merge visits only the boxes that hold mail. Which boxes
+ * are visited cannot change the result: the sort alone fixes the
+ * order. A shard whose next event is at or past the horizon is not
+ * drained at all: drainBefore would run no event and leave its clock
+ * unchanged, so the skip is exact. The one exception is a shard with
+ * a root error pending from setup (a root that threw before it first
+ * suspended), which is drained so that the error surfaces, even when
+ * no shard has an event left.
+ *
  * Determinism contract: every ordering decision — window bounds,
  * per-shard drain order, mailbox merge order — is a pure function of
  * the logical shard structure, never of the host thread count. The
@@ -163,6 +176,12 @@ class ShardedSimulation
         std::uint64_t posted = 0; ///< cross-shard posts from here
         bool dead = false;        ///< drain threw; out of the run
         std::vector<Mail> inbox;  ///< merge staging, owner-only
+        /// Destinations whose box from here filled this window;
+        /// written by this shard's drain, emptied at barrier B.
+        std::vector<unsigned> outbox;
+        /// Sources with mail for this shard, filled at barrier B and
+        /// emptied by this shard's merge.
+        std::vector<unsigned> senders;
     };
 
     /**
@@ -230,6 +249,7 @@ class ShardedSimulation
     void mergeShard(unsigned s);
     void drainShard(unsigned s);
     void computeHorizon();
+    void routeMail();
 
     Duration lookahead_;
     unsigned workers_;

@@ -215,6 +215,13 @@ class Simulation
     /** Number of events executed so far. */
     std::uint64_t eventsRun() const { return eventsRun_; }
 
+    /**
+     * A root task failed and its error has not been rethrown yet.
+     * Only a root that throws in spawn(), before it first suspends,
+     * leaves one outside a drain; the next drain rethrows it.
+     */
+    bool hasPendingError() const { return !errors_.empty(); }
+
     struct YieldAwaiter
     {
         bool await_ready() const noexcept { return false; }

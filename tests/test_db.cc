@@ -17,6 +17,8 @@
 #include "db/cluster.h"
 #include "db/lock.h"
 #include "db/study.h"
+#include "sim/mem_accounting.h"
+#include "sim/task.h"
 
 namespace vpp::db {
 namespace {
@@ -431,6 +433,137 @@ TEST(PageLockTable, TeardownWithParkedWaiterSimulationFirst)
     parkWaiter(*s, locks);
     s.reset();
     EXPECT_EQ(locks.pageLocks(), 1u);
+}
+
+// ----------------------------------------------------------------------
+// Frameless grants: uncontended at call time, contended when started
+// ----------------------------------------------------------------------
+
+TEST(FramelessGrant, UncontendedLocksAllocateNoFrame)
+{
+    sim::Simulation s;
+    HierarchicalLockManager locks(s, 2);
+    struct Counts
+    {
+        std::uint64_t relFrames = 99;
+        std::uint64_t pageFrames = 99;
+        std::uint64_t pageHeap = 99;
+    } c;
+    runTask(s, [](HierarchicalLockManager &lk,
+                  Counts &out) -> sim::Task<> {
+        using sim::detail::FramePool;
+        // Warm up: the table's buckets exist and one entry-sized block
+        // waits on the pool's free list.
+        co_await lk.lockPage(0, 1, LockMode::X);
+        lk.unlockPage(0, 1, LockMode::X);
+
+        std::uint64_t f0 = FramePool::threadAllocations();
+        co_await lk.lockRelation(1, LockMode::IX);
+        out.relFrames = FramePool::threadAllocations() - f0;
+
+        f0 = FramePool::threadAllocations();
+        const std::uint64_t h0 = sim::mem::threadAllocations();
+        co_await lk.lockPage(1, 7, LockMode::X);
+        out.pageFrames = FramePool::threadAllocations() - f0;
+        out.pageHeap = sim::mem::threadAllocations() - h0;
+
+        lk.unlockPage(1, 7, LockMode::X);
+        lk.unlockRelation(1, LockMode::IX);
+    }(locks, c));
+    EXPECT_EQ(c.relFrames, 0u);
+    EXPECT_EQ(c.pageFrames, 1u); // the pooled table entry
+    EXPECT_EQ(c.pageHeap, 0u);
+    EXPECT_EQ(locks.pageLocks(), 0u);
+}
+
+TEST(FramelessGrant, DeferredAcquireQueuesBehindLaterHolder)
+{
+    // acquire(X) is built while A holds X, so it returns a lazy slow
+    // task. A releases and C takes X before the task starts: when it
+    // starts it must queue FIFO behind C, not be granted alongside.
+    sim::Simulation s;
+    MultiModeLock l(s);
+    ASSERT_TRUE(l.tryAcquire(LockMode::X)); // A
+    sim::Task<> late = l.acquire(LockMode::X);
+    EXPECT_TRUE(late.valid()) << "a contended acquire owns a frame";
+    l.release(LockMode::X); // A; nobody is queued yet
+    sim::Task<> third = l.acquire(LockMode::X);
+    EXPECT_FALSE(third.valid()) << "C is granted at call time";
+    EXPECT_EQ(l.holders(LockMode::X), 1);
+
+    sim::SimTime grantedAt = -1;
+    int holdersAtGrant = 0;
+    s.spawn([](sim::Simulation &sim, MultiModeLock &lk, sim::Task<> t,
+               sim::SimTime &at, int &held) -> sim::Task<> {
+        co_await std::move(t);
+        at = sim.now();
+        held = lk.holders(LockMode::X);
+        lk.release(LockMode::X);
+    }(s, l, std::move(late), grantedAt, holdersAtGrant));
+    EXPECT_EQ(l.waiting(), 1);
+    EXPECT_EQ(l.holders(LockMode::X), 1);
+    s.spawn([](sim::Simulation &sim, MultiModeLock &lk,
+               sim::Task<> t) -> sim::Task<> {
+        co_await std::move(t);
+        co_await sim.delay(msec(5));
+        lk.release(LockMode::X); // C
+    }(s, l, std::move(third)));
+    s.run();
+    EXPECT_EQ(grantedAt, msec(5));
+    EXPECT_EQ(holdersAtGrant, 1);
+    EXPECT_EQ(l.waits(), 1u);
+    EXPECT_EQ(l.waitTime(), msec(5));
+    EXPECT_TRUE(l.idle());
+}
+
+TEST(FramelessGrant, DeferredAcquireOfFreedLockWaitsForNothing)
+{
+    // Built while contended, started once the lock is free again: the
+    // slow task retries the grant when it starts and takes it at once.
+    sim::Simulation s;
+    MultiModeLock l(s);
+    ASSERT_TRUE(l.tryAcquire(LockMode::S));
+    sim::Task<> late = l.acquire(LockMode::X);
+    l.release(LockMode::S);
+    runTask(s, std::move(late));
+    EXPECT_EQ(l.holders(LockMode::X), 1);
+    EXPECT_EQ(l.waits(), 0u);
+    EXPECT_EQ(l.waitTime(), 0);
+    EXPECT_EQ(s.now(), 0);
+}
+
+TEST(FramelessGrant, DeferredLockPageFindsRecreatedEntry)
+{
+    // The page entry seen when lockPage(X) is built is erased when
+    // its holder leaves; its block goes to page 4's entry and a new
+    // one is made for page 9 by the next locker. The deferred task
+    // must queue on page 9's live entry, not on the recycled block.
+    sim::Simulation s;
+    HierarchicalLockManager locks(s, 1);
+    runTask(s, locks.lockPage(0, 9, LockMode::X)); // A
+    sim::Task<> late = locks.lockPage(0, 9, LockMode::X);
+    locks.unlockPage(0, 9, LockMode::X);
+    EXPECT_EQ(locks.pageLocks(), 0u);
+    runTask(s, locks.lockPage(0, 4, LockMode::X));
+    runTask(s, locks.lockPage(0, 9, LockMode::X)); // C
+    sim::SimTime grantedAt = -1;
+    s.spawn([](sim::Simulation &sim, HierarchicalLockManager &lk,
+               sim::Task<> t, sim::SimTime &at) -> sim::Task<> {
+        co_await std::move(t);
+        at = sim.now();
+        lk.unlockPage(0, 9, LockMode::X);
+    }(s, locks, std::move(late), grantedAt));
+    EXPECT_EQ(locks.pageLocks(), 2u);
+    s.spawn([](sim::Simulation &sim,
+               HierarchicalLockManager &lk) -> sim::Task<> {
+        co_await sim.delay(msec(3));
+        lk.unlockPage(0, 9, LockMode::X); // C
+        co_await sim.delay(msec(3));
+        lk.unlockPage(0, 4, LockMode::X);
+    }(s, locks));
+    s.run();
+    EXPECT_EQ(grantedAt, msec(3));
+    EXPECT_EQ(locks.pageLocks(), 0u);
 }
 
 // ----------------------------------------------------------------------

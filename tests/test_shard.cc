@@ -127,6 +127,98 @@ TEST(Shard, ErrorsRethrowLowestShardFirstAndEngineSurvives)
     EXPECT_TRUE(ran);
 }
 
+TEST(Shard, SetupErrorOnIdleShardIsRethrown)
+{
+    // Shard 2's root throws inside spawn(), before it first suspends,
+    // so its error is pending with nothing scheduled on that shard.
+    // The only event is shard 0's; an epoch that skips idle shards
+    // must still drain shard 2 so that run() rethrows the error.
+    for (unsigned workers : {1u, 3u}) {
+        ShardedSimulation ss(3, kLook, workers);
+        bool ran = false;
+        ss.shard(0).schedule(10, [&ran] { ran = true; });
+        ss.shard(2).spawn([]() -> sim::Task<> {
+            throw std::runtime_error("setup");
+            co_return;
+        }());
+        try {
+            ss.run();
+            ADD_FAILURE() << "run() lost the setup error, workers "
+                          << workers;
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "setup") << "workers " << workers;
+        }
+        EXPECT_TRUE(ran) << "workers " << workers;
+    }
+}
+
+TEST(Shard, SetupErrorWithNothingScheduledIsRethrown)
+{
+    // No shard has an event at all, as a plain Simulation with only a
+    // failed root: run() must still rethrow, not report an empty run.
+    ShardedSimulation ss(2, kLook, 1);
+    ss.shard(1).spawn([]() -> sim::Task<> {
+        throw std::runtime_error("setup");
+        co_return;
+    }());
+    EXPECT_THROW(ss.run(), std::runtime_error);
+    // The error was consumed: the engine is runnable and idle again.
+    EXPECT_NO_THROW(ss.run());
+}
+
+TEST(Shard, SparseMailToLongIdleShardMergesInCanonicalOrder)
+{
+    // Shard 5 idles through 50 windows while shard 0 ticks once per
+    // window. In window [500, 510) shards 14, 3 and 9 post to it, in
+    // that order of simulated time, all for t = 515; shard 3 posts
+    // twice. Delivery must follow (when, source shard, sequence),
+    // and the epoch and cross-event counts must not depend on the
+    // worker count.
+    constexpr unsigned kShards = 16;
+    auto runOnce = [](unsigned workers, std::uint64_t *epochs,
+                      std::uint64_t *cross) {
+        std::vector<std::string> order;
+        sim::SimTime deliveredAt = 0;
+        ShardedSimulation ss(kShards, kLook, workers);
+        ss.shard(0).spawn([](sim::Simulation *sim) -> sim::Task<> {
+            for (int i = 0; i < 60; ++i)
+                co_await sim->delay(kLook);
+        }(&ss.shard(0)));
+        auto poster = [&](unsigned src, sim::SimTime at,
+                          std::vector<std::string> tags) {
+            ss.shard(src).schedule(at, [&ss, &order, &deliveredAt,
+                                        tags] {
+                for (const std::string &tag : tags) {
+                    ss.post(5, 515, [&ss, &order, &deliveredAt, tag] {
+                        order.push_back(tag);
+                        deliveredAt = ss.shard(5).now();
+                    });
+                }
+            });
+        };
+        poster(14, 501, {"s14"});
+        poster(3, 502, {"s3-first", "s3-second"});
+        poster(9, 503, {"s9"});
+        ss.run();
+        *epochs = ss.epochs();
+        *cross = ss.crossEvents();
+        EXPECT_EQ(deliveredAt, 515) << "workers " << workers;
+        EXPECT_EQ(ss.shard(5).now(), 515) << "workers " << workers;
+        return order;
+    };
+    std::uint64_t epochs1 = 0, cross1 = 0, epochs4 = 0, cross4 = 0;
+    const std::vector<std::string> expect = {"s3-first", "s3-second",
+                                             "s9", "s14"};
+    EXPECT_EQ(runOnce(1, &epochs1, &cross1), expect);
+    EXPECT_EQ(runOnce(4, &epochs4, &cross4), expect);
+    EXPECT_EQ(epochs1, epochs4);
+    EXPECT_EQ(cross1, cross4);
+    EXPECT_EQ(cross1, 4u);
+    // One window per tick of shard 0 (t = 10, 20, .. 600); the
+    // delivery at 515 rides in the tick-510 window.
+    EXPECT_EQ(epochs1, 60u);
+}
+
 TEST(Shard, AbsorbChildPeakRaisesThreadPeak)
 {
     if (!sim::mem::hooksActive())

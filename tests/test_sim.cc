@@ -712,6 +712,82 @@ TEST(CpuPool, SixJobsOnTwoCpus)
     EXPECT_EQ(pool.acquisitions(), 6u);
 }
 
+TEST(CpuPool, UncontendedAcquireAndComputeAllocateNoFrame)
+{
+    Simulation s;
+    CpuPool pool(s, 2);
+    std::uint64_t frames = 99;
+    s.spawn([](CpuPool &p, std::uint64_t &out) -> Task<> {
+        const std::uint64_t f0 = detail::FramePool::threadAllocations();
+        co_await p.acquire();
+        co_await p.compute(msec(1));
+        out = detail::FramePool::threadAllocations() - f0;
+        p.release();
+    }(pool, frames));
+    s.run();
+    EXPECT_EQ(frames, 0u);
+    EXPECT_EQ(s.now(), msec(1));
+    EXPECT_EQ(pool.busyTime(), msec(1));
+    EXPECT_EQ(pool.acquisitions(), 1u);
+    EXPECT_EQ(pool.waitTime(), 0);
+}
+
+TEST(CpuPool, StatsAcrossFastAndQueuedGrants)
+{
+    // One CPU; jobs arrive at 0, 0 and 1 ms and compute 2 ms each.
+    // The first is granted at call time, the others queue: waits of
+    // 2 ms and 3 ms, as when every grant ran in its own coroutine.
+    Simulation s;
+    CpuPool pool(s, 1);
+    for (Duration at : {Duration{0}, Duration{0}, msec(1)}) {
+        s.spawn([](Simulation &sim, CpuPool &p, Duration d) -> Task<> {
+            co_await sim.delay(d);
+            co_await p.acquire();
+            co_await p.compute(msec(2));
+            p.release();
+        }(s, pool, at));
+    }
+    s.run();
+    EXPECT_EQ(s.now(), msec(6));
+    EXPECT_EQ(pool.acquisitions(), 3u);
+    EXPECT_EQ(pool.busyTime(), msec(6));
+    EXPECT_EQ(pool.waitTime(), msec(5));
+}
+
+TEST(CpuPool, DeferredAcquireQueuesBehindLaterHolder)
+{
+    // acquire() built while the only CPU is busy returns a lazy task.
+    // The CPU is released and taken by another acquirer before the
+    // task starts; the task must then queue, not run on a second CPU.
+    Simulation s;
+    CpuPool pool(s, 1);
+    Task<> first = pool.acquire();
+    EXPECT_FALSE(first.valid()) << "a free CPU is granted at call time";
+    Task<> late = pool.acquire();
+    EXPECT_TRUE(late.valid());
+    pool.release();
+    Task<> third = pool.acquire();
+    EXPECT_FALSE(third.valid());
+    SimTime grantedAt = -1;
+    s.spawn([](Simulation &sim, CpuPool &p, Task<> t,
+               SimTime &at) -> Task<> {
+        co_await std::move(t);
+        at = sim.now();
+        p.release();
+    }(s, pool, std::move(late), grantedAt));
+    EXPECT_EQ(pool.queued(), 1);
+    EXPECT_EQ(pool.idle(), 0);
+    s.spawn([](Simulation &sim, CpuPool &p) -> Task<> {
+        co_await sim.delay(msec(4));
+        p.release();
+    }(s, pool));
+    s.run();
+    EXPECT_EQ(grantedAt, msec(4));
+    EXPECT_EQ(pool.acquisitions(), 3u);
+    EXPECT_EQ(pool.waitTime(), msec(4));
+    EXPECT_EQ(pool.idle(), 1);
+}
+
 TEST(CpuGuard, ReleasesOnScopeExit)
 {
     Simulation s;
